@@ -1,4 +1,6 @@
-// Ablation study of CLGP's design decisions (our extension; DESIGN.md §6):
+// Ablation study of CLGP's design decisions (our extension; the clgp_*
+// knobs of MachineConfig feed the ablation fields of core::ClgpConfig,
+// documented in src/core/clgp.hpp):
 // starting from the paper's CLGP+L0 at a 4 KB L1 / 0.045um, each row turns
 // one mechanism off (or swaps in a related-work alternative) to measure
 // what it contributes:

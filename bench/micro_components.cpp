@@ -1,37 +1,17 @@
 // Google-benchmark microbenchmarks of the simulator's core data
 // structures: these bound the simulator's own throughput (the "substrate
-// performance" of the reproduction, not the paper's results).
+// performance" of the reproduction, not the paper's results). Cache
+// kernels live in bench/micro/micro_cache.cpp.
 #include <benchmark/benchmark.h>
 
 #include "bpred/stream_predictor.hpp"
 #include "core/prestage_buffer.hpp"
-#include "mem/cache.hpp"
 #include "workload/generator.hpp"
 #include "workload/trace.hpp"
 
 namespace {
 
 using namespace prestage;
-
-void BM_CacheAccess(benchmark::State& state) {
-  mem::SetAssocCache cache(static_cast<std::uint64_t>(state.range(0)), 64, 2);
-  Rng rng(1);
-  for (Addr a = 0; a < 1024 * 64; a += 64) cache.insert(a);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.access(rng.below(1024) * 64));
-  }
-}
-BENCHMARK(BM_CacheAccess)->Arg(4096)->Arg(65536);
-
-void BM_CacheInsertEvict(benchmark::State& state) {
-  mem::SetAssocCache cache(4096, 64, 2);
-  Addr a = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.insert(a));
-    a += 64;
-  }
-}
-BENCHMARK(BM_CacheInsertEvict);
 
 void BM_StreamPredictorLookup(benchmark::State& state) {
   bpred::StreamPredictor sp({1024, 6144, 4});

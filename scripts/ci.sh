@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI entry point: the exact tier-1 verify line, plus a CLI smoke run.
+# CI entry point: the exact tier-1 verify line, an LTO-off build, plus a
+# CLI smoke run.
 #
 #   scripts/ci.sh            # configure + build + ctest + CLI smoke
 #
@@ -10,6 +11,18 @@ cd "$(dirname "$0")/.."
 
 # --- tier-1 verify ----------------------------------------------------------
 cmake -B build -S . && cmake --build build -j && (cd build && ctest --output-on-failure -j)
+
+# --- LTO-off build ----------------------------------------------------------
+# -DPRESTAGE_LTO=OFF is the documented way to build without link-time
+# optimisation. Every file then compiles at -O3 -Werror without -flto,
+# which surfaces warnings the LTO build defers to link time. The whole
+# tree must build, and the golden pins and skip on/off equivalence must
+# hold in it too.
+cmake -B build-nolto -S . -DPRESTAGE_LTO=OFF > /dev/null
+cmake --build build-nolto -j
+./build-nolto/tests/golden_test > /dev/null
+./build-nolto/tests/equivalence_test > /dev/null
+echo "lto-off: tree builds; golden pins and skip equivalence hold"
 
 # --- determinism lint -------------------------------------------------------
 # prestage-lint scans the configured roots (src/bench/tools/examples/

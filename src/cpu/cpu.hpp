@@ -124,7 +124,6 @@ class Cpu {
 
  private:
   void do_recovery(Cycle now);
-  void snapshot_warmup_baseline();
 
   /// Event-horizon fast-forward: when every unit's next state change lies
   /// strictly past `cycle_`, advances the clock to the earliest such

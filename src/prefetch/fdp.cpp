@@ -1,74 +1,14 @@
 #include "prefetch/fdp.hpp"
 
-#include "cacti/storage.hpp"
-#include "common/prestage_assert.hpp"
 #include "prefetch/registry.hpp"
 
 namespace prestage::prefetch {
 
 FdpPrefetcher::FdpPrefetcher(const FdpConfig& config,
                              frontend::FetchTargetQueue& ftq,
-                             mem::IFetchCaches& caches, mem::MemSystem& mem)
-    : config_(config),
-      ftq_(ftq),
-      caches_(caches),
-      mem_(mem),
-      port_(config.pb_latency, config.pb_pipelined),
-      entries_(config.entries) {
-  PRESTAGE_ASSERT(config.entries >= 1);
-}
-
-FdpPrefetcher::Entry* FdpPrefetcher::find(Addr line) {
-  for (Entry& e : entries_) {
-    if (e.allocated && e.line == line) return &e;
-  }
-  return nullptr;
-}
-
-const FdpPrefetcher::Entry* FdpPrefetcher::find(Addr line) const {
-  return const_cast<FdpPrefetcher*>(this)->find(line);
-}
-
-FdpPrefetcher::Entry* FdpPrefetcher::allocate() {
-  Entry* victim = nullptr;
-  for (Entry& e : entries_) {
-    if (!e.allocated) return &e;
-  }
-  // LRU fallback over arrived-but-unused entries (see header).
-  for (Entry& e : entries_) {
-    if (!e.valid) continue;  // in-flight entries cannot be reclaimed
-    if (victim == nullptr || e.lru < victim->lru) victim = &e;
-  }
-  return victim;
-}
-
-PreBufferProbe FdpPrefetcher::probe(Addr line) const {
-  const Entry* e = find(line);
-  if (e == nullptr) return {};
-  return PreBufferProbe{true, e->valid ? 0 : e->ready};
-}
-
-void FdpPrefetcher::on_fetch_from_pb(Addr line, Cycle now) {
-  Entry* e = find(line);
-  PRESTAGE_ASSERT(e != nullptr, "PB consume of absent line");
-  e->lru = ++lru_clock_;
-  if (e->valid) {
-    promote_and_free(*e);
-  } else {
-    // Consumed while the fill is still in flight: promote on arrival.
-    e->promote_on_fill = true;
-  }
-  (void)now;
-}
-
-void FdpPrefetcher::promote_and_free(Entry& e) {
-  // Paper §3.1/§3.1.1: a used line moves to the I-cache (L0 if present),
-  // and the entry becomes available for new prefetches.
-  caches_.fill_promoted(e.line);
-  e.allocated = false;
-  e.valid = false;
-  e.promote_on_fill = false;
-}
+                             mem::IFetchCaches& caches, mem::MemSystem& mem,
+                             const StagingBufferConfig& buffer)
+    : StagingBuffer(buffer, caches, mem), config_(config), ftq_(ftq) {}
 
 bool FdpPrefetcher::process_line(Addr line, Cycle now,
                                  bool& issued_transfer) {
@@ -96,38 +36,21 @@ bool FdpPrefetcher::process_line(Addr line, Cycle now,
   // (§3.1.1); without one, filtering guarantees the line is not in L1.
   if (caches_.has_l0() && caches_.probe_l1(line)) {
     if (!caches_.prefetch_port().can_accept(now)) return false;
-    const Cycle done = caches_.prefetch_port().issue(now);
-    *e = Entry{line, done, ++lru_clock_, e->gen + 1, true, false, false};
+    claim(*e, line, caches_.prefetch_port().issue(now));
     sources_.add(FetchSource::L1);
     prefetches_issued.add();
-    issued_transfer = true;
-    return true;
+  } else {
+    fill_from_below(*e, line, now);
   }
-  *e = Entry{line, kNoCycle, ++lru_clock_, e->gen + 1, true, false, false};
-  const std::uint64_t gen = e->gen;
-  Entry* slot = e;
-  mem_.submit(mem::ReqType::IPrefetch, line, now,
-              [this, slot, line, gen](FetchSource src, Cycle ready) {
-                if (!slot->allocated || slot->gen != gen ||
-                    slot->line != line) {
-                  return;  // entry was reclaimed meanwhile
-                }
-                slot->ready = ready;
-                slot->valid = true;
-                sources_.add(src);
-                if (slot->promote_on_fill) promote_and_free(*slot);
-              });
-  prefetches_issued.add();
   issued_transfer = true;
   return true;
 }
 
 void FdpPrefetcher::tick(Cycle now) {
   // Make in-flight L1->PB transfers visible once their port time passes.
-  for (Entry& e : entries_) {
+  for (Entry& e : entries()) {
     if (e.allocated && !e.valid && e.ready != kNoCycle && e.ready <= now) {
-      e.valid = true;
-      if (e.promote_on_fill) promote_and_free(e);
+      arrive(e);
     }
   }
   std::uint32_t examined = 0;
@@ -154,7 +77,7 @@ IdlePlan FdpPrefetcher::idle_plan(Cycle now) {
     if (c < plan.next_event) plan.next_event = c;
   };
   // Settle loop: known-time L1->PB transfers become visible at `ready`.
-  for (const Entry& e : entries_) {
+  for (const Entry& e : entries()) {
     if (e.allocated && !e.valid && e.ready != kNoCycle) consider(e.ready);
   }
   if (plan.next_event <= now) return plan;  // a settle fires this cycle
@@ -177,14 +100,7 @@ IdlePlan FdpPrefetcher::idle_plan(Cycle now) {
       plan.next_event = now;
       return plan;
     }
-    bool can_allocate = false;
-    for (const Entry& e : entries_) {
-      if (!e.allocated || e.valid) {
-        can_allocate = true;
-        break;
-      }
-    }
-    if (!can_allocate) {
+    if (!can_allocate()) {
       plan.per_cycle = &pb_occupancy_stalls;
       return plan;  // a settle (above) or a consume/fill unblocks
     }
@@ -206,18 +122,6 @@ void FdpPrefetcher::on_recovery(Cycle now) {
   (void)now;
 }
 
-std::uint64_t FdpPrefetcher::storage_bits() const {
-  // Fully-associative prefetch buffer: data + tag + valid/in-flight
-  // state per entry. FDP keeps no history tables.
-  return cacti::line_buffer_bits(config_.entries, config_.line_bytes, 2);
-}
-
-std::uint32_t FdpPrefetcher::valid_entries() const {
-  std::uint32_t n = 0;
-  for (const Entry& e : entries_) n += (e.allocated && e.valid);
-  return n;
-}
-
 void register_fdp_prefetcher(PrefetcherRegistry& r) {
   r.add({.name = "fdp",
          .label = "FDP",
@@ -226,14 +130,9 @@ void register_fdp_prefetcher(PrefetcherRegistry& r) {
          .build = [](const BuildInputs& in) {
            auto ftq = std::make_unique<frontend::FetchTargetQueue>(
                in.config.queue_blocks, in.config.line_bytes);
-           FdpConfig cfg;
-           cfg.entries = in.config.prebuffer_entries;
-           cfg.pb_latency = in.timings.prebuffer_latency;
-           cfg.pb_pipelined = in.config.prebuffer_pipelined;
-           cfg.line_bytes = in.config.line_bytes;
            PrefetcherBuild b;
            b.prefetcher = std::make_unique<FdpPrefetcher>(
-               cfg, *ftq, in.caches, in.mem);
+               FdpConfig{}, *ftq, in.caches, in.mem, buffer_config(in));
            b.queue = std::move(ftq);
            return b;
          }});

@@ -8,94 +8,47 @@
 //    configured — with an L0 the L1 is multi-cycle, and §3.1.1 redirects
 //    prefetches to be served *by* the L1 precisely so L1-resident lines
 //    get staged into one-cycle reach);
-//  * on a fetch hit, the line is promoted out of the buffer (to the L0
-//    when present, else the L1) and the entry is freed — the simple
-//    replacement policy whose cost CLGP's consumers counter removes.
-//
-// Deviation (documented in DESIGN.md): entries whose lines arrived but
-// were never consumed (wrong-path prefetches surviving a flush) are
-// reclaimable in LRU order when no free entry exists; the strict
-// freed-only-on-use rule would wedge the buffer after mispredictions.
+//  * on a fetch hit, the line is promoted out of the buffer and the entry
+//    is freed (StagingBuffer) — the simple replacement policy whose cost
+//    CLGP's consumers counter removes;
+//  * an L1->buffer transfer stays in flight (not reclaimable) until the
+//    scan's settle step sees its port time pass and marks it valid.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "frontend/fetch_queue.hpp"
-#include "mem/ifetch_caches.hpp"
-#include "mem/memsys.hpp"
-#include "prefetch/prefetcher.hpp"
+#include "prefetch/staging_buffer.hpp"
 
 namespace prestage::prefetch {
 
 struct FdpConfig {
-  std::uint32_t entries = 8;      ///< prefetch buffer entries (lines)
-  int pb_latency = 1;             ///< buffer access latency
-  bool pb_pipelined = false;      ///< 16-entry buffers are pipelined (§5)
   std::uint32_t scan_per_cycle = 2;  ///< FTQ lines examined per cycle
-  std::uint32_t line_bytes = 64;     ///< for storage accounting
 };
 
-class FdpPrefetcher final : public IPrefetcher {
+class FdpPrefetcher final : public StagingBuffer {
  public:
   FdpPrefetcher(const FdpConfig& config, frontend::FetchTargetQueue& ftq,
-                mem::IFetchCaches& caches, mem::MemSystem& mem);
+                mem::IFetchCaches& caches, mem::MemSystem& mem,
+                const StagingBufferConfig& buffer = {});
 
-  [[nodiscard]] PreBufferProbe probe(Addr line) const override;
-  [[nodiscard]] int pb_latency() const override {
-    return config_.pb_latency;
-  }
-  [[nodiscard]] mem::LatencyPort* pb_port() override { return &port_; }
-  void on_fetch_from_pb(Addr line, Cycle now) override;
   void tick(Cycle now) override;
   [[nodiscard]] IdlePlan idle_plan(Cycle now) override;
   void on_recovery(Cycle now) override;
-  [[nodiscard]] const SourceBreakdown& prefetch_sources() const override {
-    return sources_;
-  }
-  [[nodiscard]] std::uint64_t prefetches() const override {
-    return prefetches_issued.value();
-  }
-  [[nodiscard]] std::uint64_t storage_bits() const override;
 
   // --- statistics -------------------------------------------------------
-  Counter prefetches_issued;   ///< transfers actually started (L1/L2/mem)
   Counter requests_filtered;   ///< dropped by the cache probe filter
   Counter pb_occupancy_stalls;  ///< scan stalled: no free entry
 
-  /// Lines currently valid in the buffer (tests).
-  [[nodiscard]] std::uint32_t valid_entries() const;
-
  private:
-  struct Entry {
-    Addr line = kNoAddr;
-    Cycle ready = kNoCycle;  ///< fill completion; kNoCycle while unknown
-    std::uint64_t lru = 0;
-    std::uint64_t gen = 0;  ///< reallocation guard for fill callbacks
-    bool allocated = false;
-    bool valid = false;        ///< data arrived
-    bool promote_on_fill = false;  ///< consumed while in flight
-  };
-
-  [[nodiscard]] Entry* find(Addr line);
-  [[nodiscard]] const Entry* find(Addr line) const;
-  [[nodiscard]] Entry* allocate();
-  void promote_and_free(Entry& e);
-
   /// Handles one candidate line; returns true if scanning may continue
   /// this cycle (request resolved without structural stall).
   bool process_line(Addr line, Cycle now, bool& issued_transfer);
 
   FdpConfig config_;
   frontend::FetchTargetQueue& ftq_;
-  mem::IFetchCaches& caches_;
-  mem::MemSystem& mem_;
-  mem::LatencyPort port_;
-  std::vector<Entry> entries_;
-  std::uint64_t lru_clock_ = 0;
-  SourceBreakdown sources_;
 };
 
 }  // namespace prestage::prefetch

@@ -1,6 +1,5 @@
 #include "prefetch/next_line.hpp"
 
-#include "cacti/storage.hpp"
 #include "common/prestage_assert.hpp"
 #include "prefetch/registry.hpp"
 
@@ -8,86 +7,27 @@ namespace prestage::prefetch {
 
 NextLinePrefetcher::NextLinePrefetcher(const NextLineConfig& config,
                                        mem::IFetchCaches& caches,
-                                       mem::MemSystem& mem)
-    : config_(config),
-      caches_(caches),
-      mem_(mem),
-      port_(config.pb_latency, config.pb_pipelined),
-      entries_(config.entries) {
-  PRESTAGE_ASSERT(config.entries >= 1 && config.degree >= 1);
-}
-
-NextLinePrefetcher::Entry* NextLinePrefetcher::find(Addr line) {
-  for (Entry& e : entries_) {
-    if (e.allocated && e.line == line) return &e;
-  }
-  return nullptr;
-}
-
-const NextLinePrefetcher::Entry* NextLinePrefetcher::find(Addr line) const {
-  return const_cast<NextLinePrefetcher*>(this)->find(line);
-}
-
-NextLinePrefetcher::Entry* NextLinePrefetcher::allocate() {
-  Entry* victim = nullptr;
-  for (Entry& e : entries_) {
-    if (!e.allocated) return &e;
-  }
-  for (Entry& e : entries_) {
-    if (!e.valid) continue;  // in flight
-    if (victim == nullptr || e.lru < victim->lru) victim = &e;
-  }
-  return victim;
-}
-
-PreBufferProbe NextLinePrefetcher::probe(Addr line) const {
-  const Entry* e = find(line);
-  if (e == nullptr) return {};
-  return PreBufferProbe{true, e->valid ? 0 : e->ready};
-}
-
-void NextLinePrefetcher::on_fetch_from_pb(Addr line, Cycle now) {
-  (void)now;
-  Entry* e = find(line);
-  PRESTAGE_ASSERT(e != nullptr, "PB consume of absent line");
-  caches_.fill_promoted(line);
-  e->allocated = false;
-  e->valid = false;
+                                       mem::MemSystem& mem,
+                                       const StagingBufferConfig& buffer)
+    : StagingBuffer(buffer, caches, mem), config_(config) {
+  PRESTAGE_ASSERT(config.degree >= 1);
 }
 
 void NextLinePrefetcher::on_line_request(Addr line, Cycle now) {
   for (std::uint32_t d = 1; d <= config_.degree; ++d) {
-    const Addr target = line + static_cast<Addr>(d) * config_.line_bytes;
-    const bool resident = caches_.probe_l1(target) ||
-                          caches_.probe_l0(target) ||
-                          find(target) != nullptr;
-    if (resident) {
-      sources_.add(find(target) != nullptr ? FetchSource::PreBuffer
-                                           : FetchSource::L1);
+    const Addr target = line + static_cast<Addr>(d) * line_bytes();
+    if (find(target) != nullptr) {
+      sources_.add(FetchSource::PreBuffer);
+      continue;
+    }
+    if (caches_.probe_l1(target) || caches_.probe_l0(target)) {
+      sources_.add(FetchSource::L1);  // resident lines count as L1
       continue;
     }
     Entry* e = allocate();
     if (e == nullptr) return;
-    *e = Entry{target, kNoCycle, ++lru_clock_, e->gen + 1, true, false};
-    const std::uint64_t gen = e->gen;
-    Entry* slot = e;
-    mem_.submit(mem::ReqType::IPrefetch, target, now,
-                [this, slot, target, gen](FetchSource src, Cycle ready) {
-                  if (!slot->allocated || slot->gen != gen ||
-                      slot->line != target) {
-                    return;
-                  }
-                  slot->ready = ready;
-                  slot->valid = true;
-                  sources_.add(src);
-                });
-    prefetches_issued.add();
+    fill_from_below(*e, target, now);
   }
-}
-
-std::uint64_t NextLinePrefetcher::storage_bits() const {
-  // Just the prefetch buffer; next-line keeps no history state.
-  return cacti::line_buffer_bits(config_.entries, config_.line_bytes, 2);
 }
 
 void register_next_line_prefetcher(PrefetcherRegistry& r) {
@@ -99,14 +39,9 @@ void register_next_line_prefetcher(PrefetcherRegistry& r) {
            PrefetcherBuild b;
            b.queue = std::make_unique<frontend::FetchTargetQueue>(
                in.config.queue_blocks, in.config.line_bytes);
-           NextLineConfig cfg;
-           cfg.entries = in.config.prebuffer_entries;
-           cfg.degree = in.config.next_line_degree;
-           cfg.pb_latency = in.timings.prebuffer_latency;
-           cfg.pb_pipelined = in.config.prebuffer_pipelined;
-           cfg.line_bytes = in.config.line_bytes;
            b.prefetcher = std::make_unique<NextLinePrefetcher>(
-               cfg, in.caches, in.mem);
+               NextLineConfig{.degree = in.config.next_line_degree},
+               in.caches, in.mem, buffer_config(in));
            return b;
          }});
 }

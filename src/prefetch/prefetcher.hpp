@@ -1,12 +1,17 @@
 // Prefetcher interface seen by the fetch engine and the CPU loop.
 //
-// A prefetcher owns a pre-buffer (prefetch buffer for FDP, prestage buffer
-// for CLGP) that the fetch stage probes in parallel with L0/L1 (paper
-// §3.1/§3.2.4), plus an engine that scans the decoupling queue and issues
-// prefetches. "Prefetch source" statistics follow the paper's Figure 8
-// semantics: the original location of a line when a prefetch request is
-// processed (PB = already/in-flight in the pre-buffer, il1 = resident in
-// L1 — filtered by FDP, copied by CLGP — ul2/Mem = fetched from below).
+// A prefetcher owns a pre-buffer that the fetch stage probes in parallel
+// with L0/L1 (paper §3.1/§3.2.4), plus an engine that scans the
+// decoupling queue (or watches fetch requests) and issues prefetches.
+// Two buffers implement the pre-buffer half: the conventional prefetch
+// buffer in prefetch/staging_buffer.hpp, which FDP, next-line, stream,
+// MANA and program-map derive from, and CLGP's prestage buffer
+// (core/prestage_buffer.hpp).
+//
+// "Prefetch source" statistics follow the paper's Figure 8 semantics: the
+// original location of a line when a prefetch request is processed
+// (PB = already/in-flight in the pre-buffer, il1 = resident in L1 —
+// filtered by FDP, copied by CLGP — ul2/Mem = fetched from below).
 #pragma once
 
 #include <cstdint>
@@ -38,9 +43,9 @@ class IPrefetcher {
   /// Pre-buffer read port, or nullptr when there is no pre-buffer.
   [[nodiscard]] virtual mem::LatencyPort* pb_port() = 0;
 
-  /// The fetch stage consumed @p line from the pre-buffer. FDP frees the
-  /// entry and promotes the line to L0/L1; CLGP decrements the consumers
-  /// counter and leaves the line in place.
+  /// The fetch stage consumed @p line from the pre-buffer. The staging
+  /// buffer frees the entry and promotes the line to L0/L1; CLGP
+  /// decrements the consumers counter and leaves the line in place.
   virtual void on_fetch_from_pb(Addr line, Cycle now) = 0;
 
   /// One cycle of prefetch work: scan the queue, issue prefetches.

@@ -83,6 +83,13 @@ std::vector<std::string> PrefetcherRegistry::names() const {
   return out;
 }
 
+StagingBufferConfig buffer_config(const BuildInputs& in) {
+  return {.entries = in.config.prebuffer_entries,
+          .latency = in.timings.prebuffer_latency,
+          .pipelined = in.config.prebuffer_pipelined,
+          .line_bytes = in.config.line_bytes};
+}
+
 PrefetcherBuild build_prefetcher(const BuildInputs& in) {
   const PrefetcherRegistry& registry = PrefetcherRegistry::instance();
   const PrefetcherInfo* info = registry.find(in.config.prefetcher);

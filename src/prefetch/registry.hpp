@@ -10,7 +10,7 @@
 // CLTQ while FDP-family schemes scan (or ignore) a block-granular FTQ.
 //
 // Adding a new scheme is a one-directory change under src/prefetch/:
-// implement IPrefetcher, define a `register_<name>_prefetcher()` that
+// derive from StagingBuffer (or implement IPrefetcher), define a `register_<name>_prefetcher()` that
 // adds a PrefetcherInfo, and call it from the builtin list in
 // registry.cpp (see README "Adding a prefetcher"). Out-of-tree code
 // (tests, experiments) can also register at static-init or run time via
@@ -28,6 +28,7 @@
 #include "mem/ifetch_caches.hpp"
 #include "mem/memsys.hpp"
 #include "prefetch/prefetcher.hpp"
+#include "prefetch/staging_buffer.hpp"
 
 namespace prestage::prefetch {
 
@@ -38,6 +39,9 @@ struct BuildInputs {
   mem::IFetchCaches& caches;
   mem::MemSystem& mem;
 };
+
+/// The machine's pre-buffer shape, for the schemes built on StagingBuffer.
+[[nodiscard]] StagingBufferConfig buffer_config(const BuildInputs& in);
 
 /// What a factory produces: the decoupling queue the predictor fills and
 /// the prefetcher that scans it. Both are owned by the Cpu.

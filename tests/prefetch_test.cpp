@@ -1,6 +1,6 @@
-// Unit tests for the baseline prefetchers: FDP (paper §3.1),
-// next-N-line (§2.1), the stream/discontinuity scheme, MANA
-// (arXiv 2102.01764) and the program-map traversal scheme
+// Unit tests for the baseline prefetchers: the staging buffer they share,
+// FDP (paper §3.1), next-N-line (§2.1), the stream/discontinuity scheme,
+// MANA (arXiv 2102.01764) and the program-map traversal scheme
 // (arXiv 2406.06738), plus the NonePrefetcher contract and the
 // prefetcher registry.
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include "prefetch/prefetcher.hpp"
 #include "prefetch/program_map.hpp"
 #include "prefetch/registry.hpp"
+#include "prefetch/staging_buffer.hpp"
 #include "prefetch/stream.hpp"
 
 namespace prestage::prefetch {
@@ -25,8 +26,11 @@ struct FdpRig {
   mem::MemSystem mem;
   FdpPrefetcher fdp;
 
-  explicit FdpRig(const FdpConfig& cfg = {}, bool with_l0 = false)
-      : caches(make_caches(with_l0)), mem(make_mem()), fdp(cfg, ftq, caches, mem) {}
+  explicit FdpRig(const FdpConfig& cfg = {}, bool with_l0 = false,
+                  const StagingBufferConfig& buffer = {})
+      : caches(make_caches(with_l0)),
+        mem(make_mem()),
+        fdp(cfg, ftq, caches, mem, buffer) {}
 
   static mem::IFetchCaches make_caches(bool l0) {
     mem::IFetchCachesConfig c;
@@ -130,9 +134,9 @@ TEST(Fdp, ConsumeWhileInFlightPromotesOnFill) {
 }
 
 TEST(Fdp, BufferFullStallsScan) {
-  FdpConfig cfg;
-  cfg.entries = 2;
-  FdpRig rig(cfg);
+  StagingBufferConfig buffer;
+  buffer.entries = 2;
+  FdpRig rig({}, /*with_l0=*/false, buffer);
   rig.push_block(0x1000);
   rig.push_block(0x2000);
   rig.push_block(0x3000);
@@ -142,10 +146,11 @@ TEST(Fdp, BufferFullStallsScan) {
 }
 
 TEST(Fdp, LruFallbackReclaimsArrivedUnusedEntries) {
-  // Wrong-path leftovers must not wedge the buffer (DESIGN.md deviation).
-  FdpConfig cfg;
-  cfg.entries = 2;
-  FdpRig rig(cfg);
+  // Wrong-path leftovers must not wedge the buffer (the deviation in the
+  // staging_buffer.hpp header comment).
+  StagingBufferConfig buffer;
+  buffer.entries = 2;
+  FdpRig rig({}, /*with_l0=*/false, buffer);
   rig.mem.l2().insert(0x1000);
   rig.mem.l2().insert(0x2000);
   rig.push_block(0x1000);
@@ -171,6 +176,92 @@ TEST(NonePrefetcher, NeverPresent) {
   EXPECT_FALSE(none.probe(0x1000).present);
   EXPECT_EQ(none.pb_port(), nullptr);
   EXPECT_EQ(none.prefetches(), 0u);
+}
+
+// --- staging buffer ---------------------------------------------------------
+
+/// The smallest conventional-buffer scheme: it only names lines.
+class LineStager final : public StagingBuffer {
+ public:
+  LineStager(const StagingBufferConfig& buffer, mem::IFetchCaches& caches,
+             mem::MemSystem& mem)
+      : StagingBuffer(buffer, caches, mem) {}
+
+  using StagingBuffer::stage;
+  void tick(Cycle) override {}
+  void on_recovery(Cycle) override {}
+
+  /// Hands @p line's entry to @p other with a fresh fill from below, as
+  /// a reclaim-and-reallocate would.
+  void reallocate(Addr line, Addr other, Cycle now) {
+    fill_from_below(*find(line), other, now);
+  }
+};
+
+struct StagerRig {
+  mem::IFetchCaches caches;
+  mem::MemSystem mem;
+  LineStager stager;
+
+  explicit StagerRig(std::uint32_t entries)
+      : caches(FdpRig::make_caches(false)),
+        mem(FdpRig::make_mem()),
+        stager({.entries = entries}, caches, mem) {}
+
+  void run_cycles(Cycle from, Cycle to) {
+    for (Cycle t = from; t <= to; ++t) mem.tick(t);
+  }
+};
+
+TEST(StagingBuffer, StaleFillForAReallocatedEntryIsDropped) {
+  StagerRig rig(1);
+  rig.mem.l2().insert(0x1000);  // fast fill; 0x2000 comes from memory
+  rig.mem.tick(0);
+  rig.stager.stage(0x1000, 0);
+  rig.mem.tick(1);
+  rig.stager.reallocate(0x1000, 0x2000, 1);
+  rig.run_cycles(2, 30);  // the stale 0x1000 fill has landed by now
+  EXPECT_FALSE(rig.stager.probe(0x1000).present);
+  ASSERT_TRUE(rig.stager.probe(0x2000).present);
+  EXPECT_EQ(rig.stager.probe(0x2000).data_ready, kNoCycle)
+      << "the stale fill must not mark the new line arrived";
+  EXPECT_EQ(rig.stager.prefetch_sources().count(FetchSource::L2), 0u);
+
+  rig.run_cycles(31, 200);
+  EXPECT_NE(rig.stager.probe(0x2000).data_ready, kNoCycle);
+  EXPECT_EQ(rig.stager.prefetch_sources().count(FetchSource::Memory), 1u);
+}
+
+TEST(StagingBuffer, InFlightEntriesAreNeverLruVictims) {
+  StagerRig rig(2);
+  rig.mem.tick(0);
+  rig.stager.stage(0x1000, 0);
+  rig.stager.stage(0x2000, 0);
+  rig.mem.tick(1);
+  rig.stager.stage(0x3000, 1);  // both entries in flight: dropped
+  EXPECT_FALSE(rig.stager.probe(0x3000).present);
+  EXPECT_TRUE(rig.stager.probe(0x1000).present);
+  EXPECT_TRUE(rig.stager.probe(0x2000).present);
+  EXPECT_EQ(rig.stager.prefetches(), 2u);
+
+  rig.run_cycles(2, 200);  // both arrive, neither consumed
+  rig.stager.stage(0x3000, 200);
+  EXPECT_TRUE(rig.stager.probe(0x3000).present);
+  EXPECT_FALSE(rig.stager.probe(0x1000).present) << "the LRU arrival goes";
+  EXPECT_TRUE(rig.stager.probe(0x2000).present);
+}
+
+TEST(StagingBuffer, LineConsumedInFlightIsPromotedOnArrival) {
+  StagerRig rig(2);
+  rig.mem.l2().insert(0x1000);
+  rig.mem.tick(0);
+  rig.stager.stage(0x1000, 0);
+  rig.stager.on_fetch_from_pb(0x1000, 1);
+  EXPECT_TRUE(rig.stager.probe(0x1000).present) << "held until the fill";
+  EXPECT_FALSE(rig.caches.probe_l1(0x1000));
+  rig.run_cycles(1, 30);
+  EXPECT_FALSE(rig.stager.probe(0x1000).present);
+  EXPECT_TRUE(rig.caches.probe_l1(0x1000));
 }
 
 struct NlRig {
@@ -675,6 +766,7 @@ TEST(ProgramMap, RecoveryResetsTheFrontierButKeepsTheMap) {
 
 TEST(ProgramMap, ConsumePromotesAndFrees) {
   ProgramMapRig rig;
+  rig.mem.l2().insert(0x8000);  // the fill lands before fetch consumes it
   rig.push_block(0x1000);
   rig.push_block(0x8000);
   rig.mem.tick(0);
