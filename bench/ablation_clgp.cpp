@@ -15,6 +15,7 @@
 #include "sim/experiment.hpp"
 #include "sim/presets.hpp"
 #include "sim/report.hpp"
+#include "workload/synthetic_spec.hpp"
 
 int main() {
   using namespace prestage;
@@ -62,8 +63,10 @@ int main() {
 
   Table t({"variant", "HMEAN IPC", "vs CLGP+L0", "PB fetch share"});
   double clgp_ipc = 0.0;
+  // Every variant runs the same (benchmark, seed) programs: build each once.
+  workload::ProgramCache programs;
   for (const Variant& v : variants) {
-    const SuiteResult r = run_suite(v.cfg, suite);
+    const SuiteResult r = run_suite(v.cfg, suite, 0, 0, &programs);
     if (clgp_ipc == 0.0) clgp_ipc = r.hmean_ipc;
     t.add_row({v.name, fmt(r.hmean_ipc, 3),
                fmt(speedup_pct(r.hmean_ipc, clgp_ipc), 1) + "%",

@@ -4,9 +4,13 @@
 // kernels live in bench/micro/micro_cache.cpp.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "bpred/stream_predictor.hpp"
 #include "core/prestage_buffer.hpp"
+#include "cpu/cpu.hpp"
 #include "workload/generator.hpp"
+#include "workload/synthetic_spec.hpp"
 #include "workload/trace.hpp"
 
 namespace {
@@ -70,6 +74,22 @@ void BM_ProgramGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProgramGeneration);
+
+// What a batch point still pays to build its machine once the program
+// comes from a shared ProgramCache spec: the Cpu borrows the image, so
+// this is the construction cost left beside BM_ProgramGeneration.
+void BM_CpuConstructShared(benchmark::State& state) {
+  cpu::MachineConfig cfg;
+  cfg.benchmark = "gcc";
+  cfg.prefetcher = "clgp";
+  cfg.workload =
+      std::make_shared<const workload::SyntheticWorkloadSpec>("gcc", 1);
+  for (auto _ : state) {
+    cpu::Cpu machine(cfg);
+    benchmark::DoNotOptimize(&machine);
+  }
+}
+BENCHMARK(BM_CpuConstructShared);
 
 }  // namespace
 

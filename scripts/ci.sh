@@ -24,6 +24,16 @@ cmake --build build-nolto -j
 ./build-nolto/tests/equivalence_test > /dev/null
 echo "lto-off: tree builds; golden pins and skip equivalence hold"
 
+# --- end-to-end benchmark self-tests -----------------------------------------
+# perfbench/ (the benchmark BENCHMARK.json declares) checks its own metric
+# math and makes shortened runs of every workload, including the
+# store-digest correctness check. It builds its pass runner into
+# $CARGO_TARGET_DIR (default .bench_build/). Under two minutes.
+if command -v python3 > /dev/null; then
+  python3 perfbench/test_perfbench.py
+  echo "perfbench: self-tests pass"
+fi
+
 # --- determinism lint -------------------------------------------------------
 # prestage-lint scans the configured roots (src/bench/tools/examples/
 # tests) for determinism-rule violations; any unsuppressed error finding

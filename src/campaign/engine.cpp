@@ -42,6 +42,9 @@ PointResult simulate(const RunPoint& point, const ExecControls& controls) {
   cpu::MachineConfig cfg = point.machine_config();
   cfg.cancel = controls.cancel;
   cfg.max_host_seconds = controls.max_host_seconds;
+  if (!cfg.workload && controls.programs != nullptr) {
+    cfg.workload = controls.programs->get(cfg.benchmark, cfg.seed);
+  }
   if (point.sampling.enabled) {
     r.result = sample::run_sampled_point(cfg, point.sampling);
   } else {
@@ -236,37 +239,42 @@ RunOutcome run_campaign(const CampaignSpec& spec,
   // silently losing the fact that a point failed is not.
   std::unique_ptr<LineAppender> failure_appender;
   sim::HostPerfAccumulator host;
-  const ExecControls controls{nullptr, policy.point_host_seconds};
-  run_ordered(
-      todo, jobs,
-      [&](const RunPoint& p) {
-        return execute_with_policy(p, policy, controls);
-      },
-      [&](PointOutcome o) {
-        if (o.attempts > 1 && o.result) ++outcome.retried;
-        if (!o.result) {
-          if (!failure_appender) {
-            failure_appender = std::make_unique<LineAppender>(
-                failures_log_path(store_path), std::nullopt,
-                policy.durable);
+  {
+    // Scoped to the simulation: the programs are freed before
+    // compact_store, whose peak already holds the store three times.
+    workload::ProgramCache programs;
+    const ExecControls controls{nullptr, policy.point_host_seconds, &programs};
+    run_ordered(
+        todo, jobs,
+        [&](const RunPoint& p) {
+          return execute_with_policy(p, policy, controls);
+        },
+        [&](PointOutcome o) {
+          if (o.attempts > 1 && o.result) ++outcome.retried;
+          if (!o.result) {
+            if (!failure_appender) {
+              failure_appender = std::make_unique<LineAppender>(
+                  failures_log_path(store_path), std::nullopt,
+                  policy.durable);
+            }
+            failure_appender->append_line(encode_failure_line(o.failure));
+            ++outcome.quarantined;
+            outcome.failures.push_back(std::move(o.failure));
+            return;
           }
-          failure_appender->append_line(encode_failure_line(o.failure));
-          ++outcome.quarantined;
-          outcome.failures.push_back(std::move(o.failure));
-          return;
-        }
-        appender.append(*o.result);
-        const PerfRecord perf = perf_record_of(*o.result);
-        if (perf_appender) {
-          try {
-            perf_appender->append_line(encode_perf_line(perf));
-          } catch (const SimError&) {
-            perf_appender.reset();  // stop trying; keep simulating
+          appender.append(*o.result);
+          const PerfRecord perf = perf_record_of(*o.result);
+          if (perf_appender) {
+            try {
+              perf_appender->append_line(encode_perf_line(perf));
+            } catch (const SimError&) {
+              perf_appender.reset();  // stop trying; keep simulating
+            }
           }
-        }
-        host.add(perf.host_seconds, perf.minstr_per_sec);
-      },
-      progress);
+          host.add(perf.host_seconds, perf.minstr_per_sec);
+        },
+        progress);
+  }
   const sim::HostPerf total = host.result();
   outcome.host_seconds = total.host_seconds;
   outcome.minstr_per_sec = total.minstr_per_sec;
@@ -287,14 +295,16 @@ std::vector<PointResult> run_points(const std::vector<RunPoint>& points,
   for (const RunPoint& p : points) refs.push_back(&p);
   std::vector<PointResult> results;
   results.reserve(points.size());
+  workload::ProgramCache programs;
+  const ExecControls controls{nullptr, 0.0, &programs};
   run_ordered(
       refs, jobs,
-      [](const RunPoint& p) {
+      [&controls](const RunPoint& p) {
         // In-memory harnesses stay fail-fast, but never lose which
         // point threw (the annotation satellite of the fault layer).
         PointOutcome out;
         try {
-          out.result = simulate(p);
+          out.result = simulate(p, controls);
         } catch (const std::exception& e) {
           throw SimError(annotate(p, e.what()));
         }

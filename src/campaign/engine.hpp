@@ -20,6 +20,7 @@
 #include "campaign/spec.hpp"
 #include "campaign/store.hpp"
 #include "common/cancel.hpp"
+#include "workload/synthetic_spec.hpp"
 
 namespace prestage::campaign {
 
@@ -74,6 +75,9 @@ using Progress = std::function<void(std::size_t, std::size_t)>;
 struct ExecControls {
   const CancelToken* cancel = nullptr;
   double max_host_seconds = 0.0;
+  /// The batch's program cache: simulate() takes the point's program
+  /// from it instead of building one. Null builds a fresh program.
+  workload::ProgramCache* programs = nullptr;
 };
 
 /// Simulates one run point (used by the engine workers and tests).
@@ -83,6 +87,8 @@ struct ExecControls {
 
 /// Runs every point of @p spec that @p store_path does not already
 /// contain; appends the new results (in expansion order) to the store.
+/// Each (benchmark, seed) program is built once, on first use, in a
+/// ProgramCache that is released before the store is compacted.
 /// A point that throws is retried and then quarantined per @p policy —
 /// the rest of the grid completes, and outcome.quarantined says how
 /// many points were abandoned (resume re-offers them, since their keys
@@ -105,7 +111,8 @@ bool compact_store(const std::string& store_path,
                    const std::vector<RunPoint>& points);
 
 /// In-memory variant for the bench harnesses: simulates the whole grid
-/// (no store involved) and returns results in expansion order.
+/// (no store involved, one ProgramCache for the call) and returns
+/// results in expansion order.
 [[nodiscard]] std::vector<PointResult> run_points(
     const std::vector<RunPoint>& points, unsigned jobs,
     const Progress& progress = {});

@@ -18,6 +18,7 @@
 #include "sim/report.hpp"
 #include "workload/champsim.hpp"
 #include "workload/profiles.hpp"
+#include "workload/synthetic_spec.hpp"
 #include "workload/trace_file.hpp"
 
 namespace prestage::cli {
@@ -57,6 +58,7 @@ void write_run_result(JsonWriter& json, const cpu::RunResult& r) {
   json.field("l2_misses", r.l2_misses);
   json.field("host_seconds", r.host_seconds);
   json.field("minstr_per_sec", r.minstr_per_sec);
+  json.field("cycles_skipped", r.cycles_skipped);
   json.key("fetch_sources");
   write_source_counts(json, r.fetch_sources);
   json.key("prefetch_sources");
@@ -346,11 +348,13 @@ int cmd_sweep(const Options& opt) {
   sim::Series series;
   series.label = sim::preset_label(opt.preset);
   sim::HostPerf host;
+  // Every size runs the same (benchmark, seed) programs: build each once.
+  workload::ProgramCache programs;
   for (const std::uint64_t size : sizes) {
     const cpu::MachineConfig cfg =
         sim::make_config(opt.preset, opt.node, size);
     const sim::SuiteResult suite =
-        sim::run_suite(cfg, benchmarks, instrs, opt.jobs);
+        sim::run_suite(cfg, benchmarks, instrs, opt.jobs, &programs);
     series.values.push_back(suite.hmean_ipc);
     host = sim::merge_host_perf(host, suite.host);
   }

@@ -29,9 +29,9 @@ struct MachineConfig {
   std::uint64_t seed = 1;
   std::uint64_t max_instructions = 100000;
   std::uint64_t warmup_instructions = 0;
-  /// Workload override (trace replay, external imports): when set, the
-  /// program image and trace source come from the spec and `benchmark` is
-  /// only a report label.
+  /// Workload override (trace replay, external imports, a batch's shared
+  /// synthetic program): when set, the program image and trace source
+  /// come from the spec and `benchmark` is only a report label.
   std::shared_ptr<const workload::WorkloadSpec> workload{};
 
   // --- technology -------------------------------------------------------

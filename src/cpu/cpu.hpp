@@ -22,6 +22,7 @@
 #include "mem/memsys.hpp"
 #include "prefetch/prefetcher.hpp"
 #include "workload/program.hpp"
+#include "workload/spec.hpp"
 
 namespace prestage::cpu {
 
@@ -118,7 +119,8 @@ class Cpu {
   [[nodiscard]] const FrontendDriver& driver() const { return *driver_; }
   [[nodiscard]] const MachineConfig& config() const { return cfg_; }
   [[nodiscard]] const DerivedTimings& timings() const { return timings_; }
-  [[nodiscard]] const workload::Program& program() const { return program_; }
+  /// The program image, borrowed from the workload spec (never copied).
+  [[nodiscard]] const workload::Program& program() const { return *program_; }
 
   Counter recoveries;
 
@@ -136,7 +138,10 @@ class Cpu {
 
   MachineConfig cfg_;
   DerivedTimings timings_;
-  workload::Program program_;
+  /// cfg.workload, or a SyntheticWorkloadSpec built for (benchmark, seed)
+  /// when the config carries none. Owns the image program_ points into.
+  std::shared_ptr<const workload::WorkloadSpec> workload_;
+  const workload::Program* program_;
 
   std::unique_ptr<Oracle> oracle_;
   bpred::StreamPredictor predictor_;

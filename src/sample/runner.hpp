@@ -43,9 +43,9 @@ inline constexpr double kMinRelativeIpcErrorPct = 5.0;
     const std::shared_ptr<const workload::WorkloadSpec>& base,
     const SamplePlan& plan);
 
-/// The workload a config samples over: cfg.workload when set, else the
-/// synthetic benchmark spec the Cpu would build (cached process-wide —
-/// program synthesis is not free).
+/// The workload a config samples over: cfg.workload when set (campaigns
+/// fill it from their ProgramCache), else a freshly built synthetic spec
+/// for (benchmark, seed) — the one the Cpu would build.
 [[nodiscard]] std::shared_ptr<const workload::WorkloadSpec> base_workload(
     const cpu::MachineConfig& cfg);
 

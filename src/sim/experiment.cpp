@@ -5,6 +5,7 @@
 #include "common/parallel.hpp"
 #include "common/prestage_assert.hpp"
 #include "workload/profiles.hpp"
+#include "workload/synthetic_spec.hpp"
 
 namespace prestage::sim {
 
@@ -46,10 +47,15 @@ std::vector<std::string> full_suite() {
 }
 
 std::vector<cpu::RunResult> run_parallel(
-    const std::vector<cpu::MachineConfig>& configs, unsigned workers) {
+    const std::vector<cpu::MachineConfig>& configs, unsigned workers,
+    workload::ProgramCache* programs) {
   std::vector<cpu::RunResult> results(configs.size());
   parallel_for_indexed(configs.size(), workers, [&](std::size_t i) {
-    cpu::Cpu machine(configs[i]);
+    cpu::MachineConfig cfg = configs[i];
+    if (programs != nullptr && !cfg.workload) {
+      cfg.workload = programs->get(cfg.benchmark, cfg.seed);
+    }
+    cpu::Cpu machine(cfg);
     results[i] = machine.run();
   });
   return results;
@@ -57,7 +63,8 @@ std::vector<cpu::RunResult> run_parallel(
 
 SuiteResult run_suite(const cpu::MachineConfig& cfg,
                       const std::vector<std::string>& benchmarks,
-                      std::uint64_t instructions, unsigned workers) {
+                      std::uint64_t instructions, unsigned workers,
+                      workload::ProgramCache* programs) {
   const std::uint64_t instrs =
       instructions > 0 ? instructions : default_instructions();
   std::vector<cpu::MachineConfig> configs;
@@ -69,7 +76,7 @@ SuiteResult run_suite(const cpu::MachineConfig& cfg,
     configs.push_back(c);
   }
   SuiteResult suite;
-  suite.per_benchmark = run_parallel(configs, workers);
+  suite.per_benchmark = run_parallel(configs, workers, programs);
   suite.host = aggregate_host_perf(suite.per_benchmark);
   std::vector<double> ipcs;
   ipcs.reserve(suite.per_benchmark.size());

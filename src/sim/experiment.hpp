@@ -13,6 +13,10 @@
 #include "cpu/cpu.hpp"
 #include "sim/report.hpp"
 
+namespace prestage::workload {
+class ProgramCache;
+}  // namespace prestage::workload
+
 namespace prestage::sim {
 
 /// One simulation across the whole suite (or a subset).
@@ -34,11 +38,13 @@ struct SuiteResult {
 
 /// Runs @p cfg (benchmark/name fields overridden per benchmark) over the
 /// named benchmarks. @p instructions of 0 selects default_instructions();
-/// @p workers of 0 selects the hardware concurrency.
+/// @p workers of 0 selects the hardware concurrency. @p programs is passed
+/// on to run_parallel.
 [[nodiscard]] SuiteResult run_suite(const cpu::MachineConfig& cfg,
                                     const std::vector<std::string>& benchmarks,
                                     std::uint64_t instructions = 0,
-                                    unsigned workers = 0);
+                                    unsigned workers = 0,
+                                    workload::ProgramCache* programs = nullptr);
 
 /// All 12 SPECint2000-like benchmark names.
 [[nodiscard]] std::vector<std::string> full_suite();
@@ -47,8 +53,13 @@ struct SuiteResult {
 /// over common/parallel.hpp); results are returned in input order and
 /// are identical for any worker count (each simulation is a fully
 /// independent Cpu instance). @p workers of 0 selects the hardware
-/// concurrency.
+/// concurrency. A config without a workload takes its program from
+/// @p programs when given; a caller that runs the same (benchmark, seed)
+/// over several calls (sweep's sizes, an ablation's variants) passes one
+/// cache to all of them. Null lets each Cpu build its own, which is no
+/// more work when every config of the call has a distinct key.
 [[nodiscard]] std::vector<cpu::RunResult> run_parallel(
-    const std::vector<cpu::MachineConfig>& configs, unsigned workers = 0);
+    const std::vector<cpu::MachineConfig>& configs, unsigned workers = 0,
+    workload::ProgramCache* programs = nullptr);
 
 }  // namespace prestage::sim

@@ -282,6 +282,7 @@ std::shared_ptr<const ReplayWorkloadSpec> import_champsim_trace(
   prog.num_regions = 1;
   prog.dispatcher_head = 0;
   prog.data_ws_bytes = ws_bytes;
+  prog.insts.reserve(statics.size() + 1);  // + the closing pad
   std::uint32_t block_start = 0;
   std::uint64_t static_branches = 0;
   std::uint64_t static_loads = 0;
@@ -307,12 +308,12 @@ std::shared_ptr<const ReplayWorkloadSpec> import_champsim_trace(
     if (is_control(si.op)) ++static_branches;
     if (si.op == OpClass::Load) ++static_loads;
     if (si.op == OpClass::Store) ++static_stores;
+    prog.insts.push_back(si);
     if (!last && !leader[i + 1] && !is_control(si.op)) continue;
     BasicBlock b;
     b.start = kImageBase + static_cast<Addr>(block_start) * kInstrBytes;
-    for (std::uint32_t j = block_start; j <= i; ++j) {
-      b.instrs.push_back(statics[j].inst);
-    }
+    b.first = block_start;
+    b.count = i + 1 - block_start;
     switch (si.op) {
       case OpClass::Branch: b.term = TermKind::CondBranch; break;
       case OpClass::Jump: b.term = TermKind::Jump; break;
@@ -339,9 +340,11 @@ std::shared_ptr<const ReplayWorkloadSpec> import_champsim_trace(
     pad.start = prog.code_end();
     pad.term = TermKind::Jump;
     pad.taken_target = 0;
+    pad.first = static_cast<std::uint32_t>(prog.insts.size());
+    pad.count = 1;
     StaticInst jump;
     jump.op = OpClass::Jump;
-    pad.instrs.push_back(jump);
+    prog.insts.push_back(jump);
     prog.blocks.push_back(std::move(pad));
   }
   for (const auto& [id, target] : pending_targets) {

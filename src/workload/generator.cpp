@@ -28,6 +28,11 @@ class Builder {
     build_dispatcher();
     build_regions();
     layout();
+    // A program outlives its build (batch runs share it), so drop the
+    // growth slack of the three tables.
+    prog_.blocks.shrink_to_fit();
+    prog_.insts.shrink_to_fit();
+    prog_.data_sites.shrink_to_fit();
     prog_.validate();
     return std::move(prog_);
   }
@@ -37,9 +42,14 @@ class Builder {
 
   BlockId new_block(std::uint32_t n_instrs) {
     PRESTAGE_ASSERT(n_instrs >= 1);
+    // Blocks are created in layout order, so each one's instructions
+    // extend the flat table where its address will begin.
     BasicBlock b;
-    b.instrs.reserve(n_instrs);
-    for (std::uint32_t i = 0; i < n_instrs; ++i) b.instrs.push_back(make_inst());
+    b.first = static_cast<std::uint32_t>(prog_.insts.size());
+    b.count = n_instrs;
+    for (std::uint32_t i = 0; i < n_instrs; ++i) {
+      prog_.insts.push_back(make_inst());
+    }
     const auto id = static_cast<BlockId>(prog_.blocks.size());
     prog_.blocks.push_back(std::move(b));
     return id;
@@ -119,7 +129,7 @@ class Builder {
   void set_terminator(BlockId id, TermKind kind, OpClass op) {
     BasicBlock& b = prog_.blocks[id];
     b.term = kind;
-    StaticInst& last = b.instrs.back();
+    StaticInst& last = prog_.insts[b.first + b.count - 1];
     last = StaticInst{};  // terminators carry no data site
     last.op = op;
     last.src1 = recent_or_random();
@@ -331,10 +341,8 @@ class Builder {
   // --- layout -------------------------------------------------------------
 
   void layout() {
-    Addr pc = prog_.base;
     for (BasicBlock& b : prog_.blocks) {
-      b.start = pc;
-      pc += static_cast<Addr>(b.instrs.size()) * kInstrBytes;
+      b.start = prog_.base + static_cast<Addr>(b.first) * kInstrBytes;
     }
   }
 

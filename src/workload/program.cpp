@@ -11,8 +11,14 @@ void Program::validate() const {
   Addr pc = base;
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     const BasicBlock& b = blocks[i];
-    PRESTAGE_ASSERT(!b.instrs.empty(), "empty basic block");
+    PRESTAGE_ASSERT(b.count > 0, "empty basic block");
     PRESTAGE_ASSERT(b.start == pc, "blocks must be laid out contiguously");
+    PRESTAGE_ASSERT(
+        static_cast<Addr>(b.first) * kInstrBytes == b.start - base,
+        "block's first instruction disagrees with its address");
+    PRESTAGE_ASSERT(static_cast<std::uint64_t>(b.first) + b.count <=
+                        insts.size(),
+                    "block runs past the instruction table");
     pc = b.end();
 
     const bool needs_target = b.term == TermKind::CondBranch ||
@@ -44,7 +50,7 @@ void Program::validate() const {
           break;
       }
     }
-    const OpClass last = b.instrs.back().op;
+    const OpClass last = inst(b, b.count - 1).op;
     switch (b.term) {
       case TermKind::FallThrough:
         PRESTAGE_ASSERT(!is_control(last));
@@ -62,11 +68,12 @@ void Program::validate() const {
         PRESTAGE_ASSERT(last == OpClass::Return);
         break;
     }
-    for (const StaticInst& si : b.instrs) {
-      if (si.op == OpClass::Load || si.op == OpClass::Store) {
-        PRESTAGE_ASSERT(si.site != kNoSite && si.site < data_sites.size(),
-                        "memory instruction without a data site");
-      }
+  }
+  PRESTAGE_ASSERT(pc == code_end(), "instruction outside every block");
+  for (const StaticInst& si : insts) {
+    if (si.op == OpClass::Load || si.op == OpClass::Store) {
+      PRESTAGE_ASSERT(si.site != kNoSite && si.site < data_sites.size(),
+                      "memory instruction without a data site");
     }
   }
   for (BlockId root : region_roots) {

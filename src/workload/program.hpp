@@ -6,6 +6,16 @@
 // exactly that dictionary: the full static CFG of a synthesized workload,
 // addressable by PC, used both by the oracle trace walker (correct path)
 // and by the front-end when it runs down mispredicted paths.
+//
+// Layout: one flat instruction table, `Program::insts`, in address order
+// (insts[i] sits at base + i * kInstrBytes). A block is a run
+// [first, first + count) of that table, so the PC lookup on the back-end
+// and driver hot paths is a single index, and a program is three
+// vectors rather than one small allocation per block.
+//
+// A Program is immutable once built. Batch runs share one image per
+// (benchmark, seed) through workload::ProgramCache (synthetic_spec.hpp);
+// every Cpu borrows it through its WorkloadSpec instead of copying it.
 #pragma once
 
 #include <cstdint>
@@ -58,21 +68,21 @@ struct StaticInst {
   std::uint32_t site = kNoSite;  ///< data-site id for loads/stores
 };
 
+// Fields ordered widest first: 40 bytes, not 48 with padding.
 struct BasicBlock {
   Addr start = 0;
-  TermKind term = TermKind::FallThrough;
-  BlockId taken_target = kNoBlock;  ///< branch/jump/call destination
-  BranchBehavior behavior = BranchBehavior::Biased;
   double bias = 0.5;           ///< P(taken) for Biased conditionals
+  BlockId taken_target = kNoBlock;  ///< branch/jump/call destination
   std::uint32_t period = 0;    ///< trip count for Periodic latches
   std::uint32_t router_mid = 0;  ///< Router: taken iff region >= router_mid
-  std::vector<StaticInst> instrs;
+  std::uint32_t first = 0;  ///< index of the first instruction in insts
+  std::uint32_t count = 0;  ///< instructions in the block
+  TermKind term = TermKind::FallThrough;
+  BranchBehavior behavior = BranchBehavior::Biased;
 
-  [[nodiscard]] std::uint32_t num_instrs() const noexcept {
-    return static_cast<std::uint32_t>(instrs.size());
-  }
+  [[nodiscard]] std::uint32_t num_instrs() const noexcept { return count; }
   [[nodiscard]] Addr end() const noexcept {
-    return start + static_cast<Addr>(instrs.size()) * kInstrBytes;
+    return start + static_cast<Addr>(count) * kInstrBytes;
   }
   [[nodiscard]] Addr last_pc() const noexcept { return end() - kInstrBytes; }
 };
@@ -81,6 +91,7 @@ class Program {
  public:
   std::string name;
   std::vector<BasicBlock> blocks;   ///< laid out contiguously by address
+  std::vector<StaticInst> insts;    ///< every instruction, in address order
   std::vector<DataSite> data_sites;
   std::vector<BlockId> region_roots;  ///< entry function of each region
   BlockId dispatcher_head = 0;        ///< loop head of the dispatcher
@@ -93,14 +104,12 @@ class Program {
 
   /// Total static code size in bytes.
   [[nodiscard]] std::uint64_t footprint_bytes() const {
-    std::uint64_t n = 0;
-    for (const auto& b : blocks) n += b.num_instrs() * kInstrBytes;
-    return n;
+    return static_cast<std::uint64_t>(insts.size()) * kInstrBytes;
   }
 
   [[nodiscard]] Addr code_begin() const { return base; }
   [[nodiscard]] Addr code_end() const {
-    return blocks.empty() ? base : blocks.back().end();
+    return base + static_cast<Addr>(insts.size()) * kInstrBytes;
   }
   [[nodiscard]] bool contains_pc(Addr pc) const {
     return pc >= code_begin() && pc < code_end();
@@ -122,12 +131,17 @@ class Program {
     return static_cast<BlockId>(lo);
   }
 
-  /// Static metadata of the instruction at @p pc.
+  /// Static metadata of the instruction at @p pc (one index into the
+  /// flat table). Precondition: contains_pc(pc).
   [[nodiscard]] const StaticInst& static_inst_at(Addr pc) const {
-    const BasicBlock& b = blocks[block_at(pc)];
-    const auto idx = static_cast<std::size_t>((pc - b.start) / kInstrBytes);
-    PRESTAGE_ASSERT(idx < b.instrs.size());
-    return b.instrs[idx];
+    PRESTAGE_ASSERT(contains_pc(pc), "PC outside program image");
+    return insts[static_cast<std::size_t>((pc - base) / kInstrBytes)];
+  }
+
+  /// The @p i-th instruction of block @p b.
+  [[nodiscard]] const StaticInst& inst(const BasicBlock& b,
+                                       std::uint32_t i) const {
+    return insts[b.first + i];
   }
 
   /// Validates structural invariants; throws SimError on violation.

@@ -2,10 +2,12 @@
 // dynamic instruction source that executes over it.
 //
 // MachineConfig carries an optional WorkloadSpec; when present, the CPU
-// builds its basic-block dictionary and oracle trace from the spec
-// instead of synthesizing a benchmark from (benchmark name, seed). This
-// is how recorded trace files and imported external traces (ChampSim)
-// drive the full simulation pipeline, including run_suite sweeps.
+// borrows the spec's basic-block dictionary and draws its oracle trace
+// from it instead of synthesizing a benchmark from (benchmark name,
+// seed). This is how recorded trace files and imported external traces
+// (ChampSim) drive the full simulation pipeline, including run_suite
+// sweeps, and how batch runs share one synthetic program per
+// (benchmark, seed) through a ProgramCache (synthetic_spec.hpp).
 #pragma once
 
 #include <cstdint>
@@ -22,7 +24,8 @@ class WorkloadSpec {
   virtual ~WorkloadSpec() = default;
 
   /// The static program image (basic-block dictionary) the trace runs
-  /// over. Must stay valid for the lifetime of the spec.
+  /// over. Must stay valid and unchanged for the lifetime of the spec:
+  /// every Cpu built from the spec reads it in place.
   [[nodiscard]] virtual const Program& program() const = 0;
 
   /// Label used where a benchmark name would appear in reports.

@@ -1,18 +1,34 @@
-// WorkloadSpec adapter for the synthetic benchmark generator.
+// WorkloadSpec adapter for the synthetic benchmark generator, and the
+// cache that lets a batch run build each synthetic program once.
 //
-// The Cpu synthesizes (program, TraceGenerator) directly from a
-// (benchmark, seed) pair when MachineConfig carries no workload. Layers
-// that need to *stream the same workload independently of a Cpu* — the
-// sampling profiler walks the dynamic trace once before any timing
-// simulation runs — need that synthesis behind the uniform WorkloadSpec
-// interface. SyntheticWorkloadSpec provides exactly the pair the Cpu
-// would build, so a profile taken here aligns instruction-for-
+// A synthetic workload is a pure function of (benchmark, seed):
+// SyntheticWorkloadSpec builds that program and hands out TraceGenerators
+// over it. The Cpu builds one itself when MachineConfig carries no
+// workload; the sampling profiler streams the same spec before any
+// timing simulation runs, so a profile taken here aligns instruction-for-
 // instruction with the trace a Cpu replays for the same config.
+//
+// ProgramCache lifetime rule. A batch run (campaign::run_campaign,
+// run_points, and the sweep and ablation loops over sim::run_suite) owns
+// one cache on its stack and fills MachineConfig::workload from it, so
+// every point of a (benchmark, seed) borrows one immutable program image.
+// The cache is
+//  - scoped to that one batch: there is no process-wide program map, and
+//    a program lives only while the cache or a Cpu still holds it;
+//  - released before the campaign store is compacted, which holds two
+//    copies of the store plus the parsed store at its peak;
+//  - never prewarmed: a program is built on the first request for its
+//    key, so set-up before the first point builds nothing.
 #pragma once
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <utility>
 
 #include "workload/program.hpp"
 #include "workload/spec.hpp"
@@ -32,6 +48,28 @@ class SyntheticWorkloadSpec final : public WorkloadSpec {
  private:
   std::string benchmark_;
   Program program_;
+};
+
+/// Thread-safe (benchmark, seed) -> SyntheticWorkloadSpec cache with one
+/// build per key: concurrent callers of a key not yet built wait for the
+/// one builder rather than building copies. See the lifetime rule above.
+class ProgramCache {
+ public:
+  [[nodiscard]] std::shared_ptr<const SyntheticWorkloadSpec> get(
+      const std::string& benchmark, std::uint64_t seed);
+
+  /// Programs built so far (tests).
+  [[nodiscard]] std::size_t builds() const;
+
+ private:
+  struct Entry {
+    std::mutex build;  ///< held while this key's program is built
+    std::shared_ptr<const SyntheticWorkloadSpec> spec;
+  };
+
+  std::mutex mutex_;  ///< guards the map, not the entries
+  std::map<std::pair<std::string, std::uint64_t>, Entry> entries_;
+  std::atomic<std::size_t> builds_{0};
 };
 
 }  // namespace prestage::workload

@@ -119,7 +119,7 @@ std::uint64_t TraceGenerator::draw_phase_budget() {
 DynInst TraceGenerator::step() {
   const BasicBlock& b = prog_.blocks[cur_block_];
   PRESTAGE_ASSERT(cur_idx_ < b.num_instrs());
-  const StaticInst& si = b.instrs[cur_idx_];
+  const StaticInst& si = prog_.inst(b, cur_idx_);
 
   DynInst d;
   d.pc = b.start + static_cast<Addr>(cur_idx_) * kInstrBytes;

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 
@@ -23,6 +24,8 @@
 #include "common/json_writer.hpp"
 #include "common/parallel.hpp"
 #include "common/stats.hpp"
+#include "cpu/cpu.hpp"
+#include "workload/synthetic_spec.hpp"
 
 namespace {
 
@@ -189,6 +192,42 @@ TEST(CampaignEngine, StoreBytesIdenticalForAnyWorkerCount) {
       EXPECT_EQ(bytes, reference) << jobs << " workers diverged";
     }
   }
+}
+
+TEST(CampaignEngine, SimulateTakesEachProgramFromTheBatchCache) {
+  // Three schemes of one (benchmark, seed) share one program build, and
+  // the shared image changes no result byte.
+  workload::ProgramCache programs;
+  const campaign::ExecControls controls{nullptr, 0.0, &programs};
+  CampaignSpec spec = tiny_spec();
+  spec.presets = {"base", "clgp-l0", "fdp-l0"};
+  spec.l1_sizes = {4096};
+  spec.benchmarks = {"eon"};
+  for (const RunPoint& p : campaign::expand(spec)) {
+    EXPECT_EQ(campaign::encode_line(campaign::simulate(p, controls)),
+              campaign::encode_line(campaign::simulate(p)))
+        << p.key();
+  }
+  EXPECT_EQ(programs.builds(), 1u);
+}
+
+TEST(CampaignEngine, CachedProgramIsFreedWithTheCacheAndItsUsers) {
+  std::weak_ptr<const workload::SyntheticWorkloadSpec> weak;
+  {
+    auto cache = std::make_unique<workload::ProgramCache>();
+    cpu::MachineConfig cfg;
+    cfg.benchmark = "gzip";
+    cfg.max_instructions = 500;
+    cfg.workload = cache->get(cfg.benchmark, cfg.seed);
+    weak = cache->get(cfg.benchmark, cfg.seed);
+    auto machine = std::make_unique<cpu::Cpu>(cfg);
+    cfg.workload.reset();
+    (void)machine->run();
+    cache.reset();
+    EXPECT_FALSE(weak.expired()) << "the Cpu still borrows the program";
+    machine.reset();
+  }
+  EXPECT_TRUE(weak.expired());
 }
 
 TEST(CampaignEngine, ResumeAfterTruncationReproducesFreshBytes) {

@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "common/json.hpp"
+#include "cpu/cpu.hpp"
+#include "sim/presets.hpp"
 
 namespace {
 
@@ -95,6 +97,30 @@ TEST(CliSmoke, RunEmitsHeadlineStatsAndJson) {
   EXPECT_GT(result.at("minstr_per_sec").number, 0.0);
   check_breakdown(result.at("fetch_sources"));
   check_breakdown(result.at("prefetch_sources"));
+}
+
+TEST(CliSmoke, RunJsonReportsCyclesSkipped) {
+  // The event-horizon skip count is deterministic per config, so the
+  // CLI's field must equal what the library reports for the same run.
+  std::string output;
+  ASSERT_EQ(run_cli("run --preset clgp-l0-pb16 --bench mcf --instrs 3000 "
+                    "--json -",
+                    &output),
+            0)
+      << output;
+  const JsonValue doc = parse_json(output);
+  const JsonValue& result = doc.at("result");
+  ASSERT_TRUE(result.has("cycles_skipped")) << output;
+
+  prestage::cpu::MachineConfig cfg = prestage::sim::make_config(
+      "clgp-l0-pb16", prestage::cacti::TechNode::um045, 4096);
+  cfg.benchmark = "mcf";
+  cfg.max_instructions = 3000;
+  prestage::cpu::Cpu machine(cfg);
+  const prestage::cpu::RunResult r = machine.run();
+  ASSERT_GT(r.cycles_skipped, 0u);
+  EXPECT_EQ(result.at("cycles_skipped").number,
+            static_cast<double>(r.cycles_skipped));
 }
 
 TEST(CliSmoke, SuiteJsonCoversAllBenchmarksWithHmean) {

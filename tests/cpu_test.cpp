@@ -1,8 +1,11 @@
 // Integration tests: the whole machine, end to end.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "cpu/cpu.hpp"
 #include "sim/presets.hpp"
+#include "workload/synthetic_spec.hpp"
 
 namespace prestage::cpu {
 namespace {
@@ -35,6 +38,23 @@ INSTANTIATE_TEST_SUITE_P(AllBenchmarks, EveryBenchmark,
                                            "crafty", "parser", "eon",
                                            "perlbmk", "gap", "vortex",
                                            "bzip2", "twolf"));
+
+TEST(Machine, BorrowsTheProgramOfAGivenSpec) {
+  MachineConfig cfg = tiny("gcc", "clgp", 3000);
+  const auto spec =
+      std::make_shared<const workload::SyntheticWorkloadSpec>("gcc", 1);
+  cfg.workload = spec;
+  Cpu machine(cfg);
+  EXPECT_EQ(&machine.program(), &spec->program());
+  // Borrowing changes nothing simulated: a Cpu that builds its own
+  // program for the same (benchmark, seed) runs identically.
+  const RunResult borrowed = machine.run();
+  const RunResult own = Cpu(tiny("gcc", "clgp", 3000)).run();
+  EXPECT_EQ(borrowed.cycles, own.cycles);
+  EXPECT_EQ(borrowed.instructions, own.instructions);
+  EXPECT_EQ(borrowed.recoveries, own.recoveries);
+  EXPECT_EQ(borrowed.lines_fetched, own.lines_fetched);
+}
 
 TEST(Machine, DeterministicAcrossRuns) {
   const RunResult a = Cpu(tiny("gcc", "clgp")).run();

@@ -7,6 +7,7 @@
 #include "sim/experiment.hpp"
 #include "sim/presets.hpp"
 #include "sim/report.hpp"
+#include "workload/synthetic_spec.hpp"
 
 namespace prestage::sim {
 namespace {
@@ -149,6 +150,25 @@ TEST(Experiment, RunParallelPreservesOrderAndDeterminism) {
   EXPECT_EQ(results[1].benchmark, "mcf");
   // Same config => identical cycle counts even across thread schedules.
   EXPECT_EQ(results[0].cycles, results[2].cycles);
+}
+
+TEST(Experiment, SharedProgramCacheBuildsOncePerKeyAcrossSuites) {
+  // sweep passes one cache to the run_suite call of every size: each
+  // (benchmark, seed) is built once, and results match unshared runs.
+  workload::ProgramCache programs;
+  for (const std::uint64_t size : {1024u, 4096u}) {
+    const auto cfg = make_config("fdp-l0", cacti::TechNode::um045, size);
+    const SuiteResult shared =
+        run_suite(cfg, {"gzip", "mcf"}, 4000, 2, &programs);
+    const SuiteResult own = run_suite(cfg, {"gzip", "mcf"}, 4000, 2);
+    ASSERT_EQ(shared.per_benchmark.size(), own.per_benchmark.size());
+    for (std::size_t i = 0; i < own.per_benchmark.size(); ++i) {
+      EXPECT_EQ(shared.per_benchmark[i].cycles, own.per_benchmark[i].cycles);
+      EXPECT_EQ(shared.per_benchmark[i].instructions,
+                own.per_benchmark[i].instructions);
+    }
+    EXPECT_EQ(programs.builds(), 2u);
+  }
 }
 
 TEST(Report, SizeChartRendersAllSeries) {

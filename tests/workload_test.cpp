@@ -1,13 +1,17 @@
 // Calibration and invariant tests for the synthetic workload substrate.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <thread>
 #include <unordered_set>
+#include <vector>
 
 #include "bpred/bimodal.hpp"
 #include "workload/generator.hpp"
 #include "workload/profiles.hpp"
 #include "workload/program.hpp"
+#include "workload/synthetic_spec.hpp"
 #include "workload/trace.hpp"
 
 namespace prestage::workload {
@@ -84,8 +88,77 @@ TEST(Program, StaticInstLookupMatchesBlockContents) {
   for (std::uint32_t i = 0; i < b.num_instrs(); ++i) {
     const StaticInst& si =
         prog.static_inst_at(b.start + i * kInstrBytes);
-    EXPECT_EQ(si.op, b.instrs[i].op);
+    EXPECT_EQ(si.op, prog.inst(b, i).op);
   }
+}
+
+/// The lookup a per-block walk would give for every PC of @p prog.
+void expect_flat_lookup_matches_blocks(const Program& prog) {
+  ASSERT_EQ(prog.code_end(), prog.blocks.back().end());
+  for (const BasicBlock& b : prog.blocks) {
+    for (std::uint32_t i = 0; i < b.num_instrs(); ++i) {
+      const StaticInst& walked = prog.inst(b, i);
+      const StaticInst& looked_up =
+          prog.static_inst_at(b.start + i * kInstrBytes);
+      ASSERT_EQ(&looked_up, &walked) << prog.name << " block@" << b.start;
+    }
+  }
+}
+
+TEST(Program, FlatLookupMatchesBlockWalkOnEveryBenchmark) {
+  for (const auto name : benchmark_names()) {
+    for (const std::uint64_t seed : {1ULL, 9ULL}) {
+      expect_flat_lookup_matches_blocks(
+          generate_program(profile_for(name), seed));
+    }
+  }
+}
+
+TEST(Program, ValidateRejectsMisplacedFirstIndex) {
+  Program prog = generate_program(profile_for("gzip"));
+  ASSERT_NO_THROW(prog.validate());
+  // Same addresses, but the block now claims its neighbour's slice.
+  prog.blocks[3].first += 1;
+  EXPECT_THROW(prog.validate(), SimError);
+}
+
+TEST(Program, ValidateRejectsInstructionOutsideEveryBlock) {
+  Program prog = generate_program(profile_for("gzip"));
+  prog.insts.push_back(StaticInst{});
+  EXPECT_THROW(prog.validate(), SimError);
+}
+
+TEST(ProgramCache, SamePointerPerKeyAndOneBuildUnderConcurrency) {
+  ProgramCache cache;
+  constexpr int kCallers = 8;
+  std::vector<std::shared_ptr<const SyntheticWorkloadSpec>> got(kCallers);
+  std::vector<std::thread> threads;
+  threads.reserve(kCallers);
+  for (int i = 0; i < kCallers; ++i) {
+    threads.emplace_back([&cache, &got, i] { got[i] = cache.get("gcc", 3); });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(cache.builds(), 1u);
+  for (const auto& spec : got) EXPECT_EQ(spec.get(), got.front().get());
+
+  EXPECT_EQ(cache.get("gcc", 3).get(), got.front().get());
+  EXPECT_NE(cache.get("gcc", 4).get(), got.front().get());
+  EXPECT_NE(cache.get("mcf", 3).get(), got.front().get());
+  EXPECT_EQ(cache.builds(), 3u);
+
+  // The cached program is the one a fresh spec builds.
+  const SyntheticWorkloadSpec fresh("gcc", 3);
+  ASSERT_EQ(got.front()->program().insts.size(),
+            fresh.program().insts.size());
+  EXPECT_EQ(got.front()->program().blocks.size(),
+            fresh.program().blocks.size());
+}
+
+TEST(ProgramCache, UnknownBenchmarkThrowsOnEveryRequest) {
+  ProgramCache cache;
+  EXPECT_THROW((void)cache.get("nonexistent", 1), SimError);
+  EXPECT_THROW((void)cache.get("nonexistent", 1), SimError);
+  EXPECT_EQ(cache.builds(), 0u);
 }
 
 class TraceTest : public ::testing::TestWithParam<std::string_view> {};
