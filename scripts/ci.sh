@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI entry point: the exact tier-1 verify line, an LTO-off build, plus a
-# CLI smoke run.
+# CI entry point: the exact tier-1 verify line, an LTO-off build, a debug
+# build, plus a CLI smoke run.
 #
 #   scripts/ci.sh            # configure + build + ctest + CLI smoke
 #
@@ -312,6 +312,29 @@ print("sampled: perf sidecar reports effective speedup "
       f"{perf['effective_speedup']:.1f}x (>= 5x gate)")
 EOF
 fi
+
+# --- debug build -------------------------------------------------------------
+# The debug preset (-O0 -g, NDEBUG unset) compiles the asserts Release
+# drops, among them Cpu::try_skip's "no unit works inside a skipped span"
+# re-probes. The golden pins, skip on/off and slice-cursor equivalence
+# and the sampled suite must hold there, and the family grid and the
+# sampled smoke grid must reproduce the Release stores above byte for
+# byte.
+cmake --preset debug > /dev/null
+cmake --build --preset debug -j \
+  --target prestage_cli golden_test equivalence_test sample_test
+./build-debug/tests/golden_test > /dev/null
+./build-debug/tests/equivalence_test > /dev/null
+./build-debug/tests/sample_test > /dev/null
+rm -f build-debug/ci-sampled.jsonl build-debug/ci-sampled.jsonl.perf
+./build-debug/src/cli/prestage campaign run --name smoke-sampled \
+  --instrs $SAMPLE_INSTRS --store build-debug/ci-sampled.jsonl -j 0 > /dev/null
+cmp build-debug/ci-sampled.jsonl build/ci-sampled.jsonl
+rm -f build-debug/ci-family.jsonl build-debug/ci-family.jsonl.perf
+./build-debug/src/cli/prestage campaign run --name family --instrs 800 \
+  --store build-debug/ci-family.jsonl -j 0 > /dev/null
+cmp build-debug/ci-family.jsonl build/ci-family.jsonl
+echo "debug: asserts hold; family and sampled stores match Release"
 
 # --- sanitizer smoke ---------------------------------------------------------
 # ASan+UBSan build of the CLI, then one run per *registered* prefetcher

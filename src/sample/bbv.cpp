@@ -95,17 +95,27 @@ TraceProfile profile_source(workload::TraceSource& source,
     return out;
   };
 
-  std::uint64_t consumed = 0;
+  std::uint64_t consumed = 0;  // instructions in closed streams
+  std::uint64_t read = 0;      // records pulled from the source
   std::uint64_t interval_start = 0;
   std::vector<Addr> pending_warm;  // ring state at the open interval's start
+  Addr stream_pc = kNoAddr;        // first pc of the open stream
+  std::uint64_t stream_len = 0;
+  constexpr std::size_t kBatch = 256;
+  workload::DynInst buf[kBatch];
   while (consumed < total_instructions) {
-    const workload::StreamChunk chunk = source.next_stream();
-    PRESTAGE_ASSERT(!chunk.insts.empty());
-    acc.add(chunk.insts.front().pc, chunk.insts.size());
-    if (!seen_blocks.contains(chunk.insts.front().pc)) {
-      seen_blocks.insert(chunk.insts.front().pc, 0);
-    }
-    for (const workload::DynInst& inst : chunk.insts) {
+    // Whole batches up to the budget, then single records to the end of
+    // the stream it falls in: the source stops exactly where a stream-
+    // by-stream walk would, and no batch straddles the last boundary.
+    const auto n = static_cast<std::size_t>(
+        read < total_instructions
+            ? std::min<std::uint64_t>(kBatch, total_instructions - read)
+            : 1);
+    (void)source.fill(buf, n);
+    read += n;
+    for (std::size_t i = 0; i < n; ++i) {
+      const workload::DynInst& inst = buf[i];
+      if (stream_len++ == 0) stream_pc = inst.pc;
       const Addr line = line_align(inst.pc, kWarmLineBytes);
       if (line != last_line) {
         ring[head] = line;
@@ -113,19 +123,23 @@ TraceProfile profile_source(workload::TraceSource& source,
         filled = std::min<std::size_t>(filled + 1, warm_lines);
         last_line = line;
       }
-    }
-    consumed += chunk.insts.size();
-    // Intervals close at the first stream boundary at or past the nominal
-    // length, so every interval start is stream-aligned.
-    if (consumed - interval_start >= interval_instructions) {
-      IntervalProfile iv;
-      iv.start = interval_start;
-      iv.instructions = consumed - interval_start;
-      iv.signature = acc.finish();
-      iv.warm_lines = std::move(pending_warm);
-      profile.intervals.push_back(std::move(iv));
-      interval_start = consumed;
-      pending_warm = snapshot_ring();
+      if (!inst.ends_stream) continue;
+      acc.add(stream_pc, stream_len);
+      if (!seen_blocks.contains(stream_pc)) seen_blocks.insert(stream_pc, 0);
+      consumed += stream_len;
+      stream_len = 0;
+      // Intervals close at the first stream boundary at or past the
+      // nominal length, so every interval start is stream-aligned.
+      if (consumed - interval_start >= interval_instructions) {
+        IntervalProfile iv;
+        iv.start = interval_start;
+        iv.instructions = consumed - interval_start;
+        iv.signature = acc.finish();
+        iv.warm_lines = std::move(pending_warm);
+        profile.intervals.push_back(std::move(iv));
+        interval_start = consumed;
+        pending_warm = snapshot_ring();
+      }
     }
   }
   if (consumed > interval_start) {

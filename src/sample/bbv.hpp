@@ -69,11 +69,12 @@ struct TraceProfile {
   std::vector<IntervalProfile> intervals;
 };
 
-/// Streams @p source for at least @p total_instructions, closing each
-/// interval at the first stream boundary at or past the nominal length —
-/// so every interval start is stream-aligned and a sliced replay of the
-/// same source lands exactly on it. Deterministic: same source state,
-/// same profile.
+/// Reads @p source through its batched fill() for at least
+/// @p total_instructions, stopping at the end of the stream that reaches
+/// the budget, and closes each interval at the first stream boundary at
+/// or past the nominal length — so every interval start is stream-aligned
+/// and a sliced replay of the same source lands exactly on it.
+/// Deterministic: same source state, same profile.
 [[nodiscard]] TraceProfile profile_source(workload::TraceSource& source,
                                           std::uint64_t total_instructions,
                                           std::uint64_t interval_instructions,

@@ -48,6 +48,9 @@ cpu::RunResult run_sampled_point_with_plan(
   const auto host_start = std::chrono::steady_clock::now();
   const std::uint64_t budget = cfg.max_instructions;
 
+  // The Cpu's oracle trace seed (cpu.cpp), which the plan profiled too.
+  SliceWalk walk(base, cfg.seed + 17, plan);
+
   std::vector<cpu::RunResult> slices;
   std::vector<double> weights;
   slices.reserve(plan.slices.size());
@@ -60,14 +63,14 @@ cpu::RunResult run_sampled_point_with_plan(
   std::vector<std::uint8_t> carried_state;
   bool have_state = false;
 
-  for (const Slice& slice : plan.slices) {
+  for (std::size_t i = 0; i < plan.slices.size(); ++i) {
+    const Slice& slice = plan.slices[i];
     cpu::MachineConfig slice_cfg = cfg;
     // Detailed warm-up: start `warmup_instructions` before the measured
     // region so caches, branch predictor and prefetcher tables are
     // architecturally warm when statistics open at `slice.start`. The
     // functional i-warm checkpoint covers the warm-up's own cold front.
-    slice_cfg.workload =
-        std::make_shared<const SlicedWorkloadSpec>(base, slice.warm_start);
+    slice_cfg.workload = walk.take(i);
     slice_cfg.max_instructions = slice.instructions;
     slice_cfg.warmup_instructions = slice.start - slice.warm_start;
 

@@ -1,6 +1,7 @@
 #include "workload/trace.hpp"
 #include <cmath>
 #include <algorithm>
+#include <string>
 
 #include "common/prestage_assert.hpp"
 
@@ -25,6 +26,29 @@ std::size_t TraceSource::fill(DynInst* out, std::size_t n) {
     filled += take;
   }
   return filled;
+}
+
+void skip_to(TraceSource& source, std::uint64_t target) {
+  std::uint64_t pos = source.instructions();
+  if (target < pos) {
+    throw SimError("skip_to: target instruction " + std::to_string(target) +
+                   " is behind the cursor at " + std::to_string(pos));
+  }
+  // A small fixed buffer: the records are discarded, only the walk counts.
+  constexpr std::size_t kBatch = 256;
+  DynInst buf[kBatch];
+  bool aligned = true;
+  while (pos < target) {
+    const auto n =
+        static_cast<std::size_t>(std::min<std::uint64_t>(kBatch, target - pos));
+    (void)source.fill(buf, n);
+    pos += n;
+    aligned = buf[n - 1].ends_stream;
+  }
+  if (!aligned) {
+    throw SimError("skip_to: instruction " + std::to_string(target) +
+                   " is not a stream boundary");
+  }
 }
 
 TraceGenerator::TraceGenerator(const Program& program, std::uint64_t seed)

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "bpred/stream.hpp"
@@ -68,6 +69,14 @@ class TraceSource {
   /// Total instructions emitted so far.
   [[nodiscard]] virtual std::uint64_t instructions() const = 0;
 
+  /// An independent copy at the current position: the copy and the
+  /// original go on to produce the same records. Sampled runs position
+  /// every slice by cloning one forward-walking cursor. nullptr when the
+  /// source cannot be copied (a recording tee would record twice).
+  [[nodiscard]] virtual std::unique_ptr<TraceSource> clone() const {
+    return nullptr;
+  }
+
   /// Live call stack as return-continuation PCs, innermost first. Used to
   /// repair the speculative RAS at misprediction recovery.
   [[nodiscard]] virtual std::vector<Addr> call_stack_pcs(
@@ -97,6 +106,12 @@ class TraceGenerator final : public TraceSource {
   /// Total instructions emitted so far.
   [[nodiscard]] std::uint64_t instructions() const noexcept override {
     return seq_;
+  }
+
+  /// The walker's whole state (RNG, cursor, call stack, latch table,
+  /// data-site cursors) is plain data, so a copy continues identically.
+  [[nodiscard]] std::unique_ptr<TraceSource> clone() const override {
+    return std::make_unique<TraceGenerator>(*this);
   }
 
   /// Live call stack as return-continuation PCs, innermost first. Used to
@@ -138,6 +153,13 @@ class TraceGenerator final : public TraceSource {
   AddrMap latch_counts_;
   std::vector<std::uint64_t> site_cursors_;
 };
+
+/// Advances @p source through the batched fill() until it has emitted
+/// @p target instructions. The only trace fast-forward in the tree: the
+/// sampled runner walks one cursor forward with it. @p source must sit
+/// on a stream boundary, and @p target must be a stream boundary at or
+/// past its position; otherwise throws SimError.
+void skip_to(TraceSource& source, std::uint64_t target);
 
 /// Deterministic pseudo-random data address for a wrong-path memory
 /// instruction: wrong-path pollution must be repeatable run to run.

@@ -103,6 +103,11 @@ class ReplayTraceSource final : public TraceSource {
   [[nodiscard]] std::vector<Addr> call_stack_pcs(
       std::size_t max_depth) const override;
 
+  /// Shares the record vector; copies the position and the stack.
+  [[nodiscard]] std::unique_ptr<TraceSource> clone() const override {
+    return std::make_unique<ReplayTraceSource>(*this);
+  }
+
   /// Times the cursor wrapped back to record 0 (0 for a faithful replay).
   [[nodiscard]] std::uint64_t wraps() const noexcept { return wraps_; }
 
@@ -116,6 +121,8 @@ class ReplayTraceSource final : public TraceSource {
 
 /// Tees every stream produced by a synthetic walker into a record buffer
 /// (the `prestage trace record` capture path).
+/// Keeps the default clone() (nullptr): a copy would tee the same
+/// records into the buffer twice, so a recording cannot be sampled.
 class RecordingTraceSource final : public TraceSource {
  public:
   RecordingTraceSource(const Program& program, std::uint64_t seed,

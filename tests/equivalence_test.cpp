@@ -10,8 +10,12 @@
 //  - Batched decode: TraceSource::fill() must hand out the exact record
 //    stream next_stream() produces, for every source family (the
 //    generator's native walk, the replay source's native copy incl.
-//    wrap-around, and the sliced source's default carry-buffer path),
+//    wrap-around, and the sliced source's renumbering pass-through),
 //    across adversarial batch sizes that straddle stream boundaries.
+//  - Cursor clones: a TraceSource::clone() taken mid-stream continues
+//    exactly as an independently advanced source does, under fill() and
+//    under next_stream(), for the generator and the replay source
+//    (across its wrap seam); a recording tee refuses to clone.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -196,6 +200,83 @@ TEST(BatchedDecode, SlicedSourceDefaultFillMatchesNextStream) {
   EXPECT_EQ(scalar.skipped(), start);
   expect_same_records(scalar_records(scalar, 5000),
                       batched_records(batched, 5000), "sliced");
+}
+
+/// Advances @p src by @p k records through fill(), returning the last.
+DynInst advance(TraceSource& src, std::size_t k) {
+  std::vector<DynInst> buf(k);
+  EXPECT_EQ(src.fill(buf.data(), k), k);
+  return buf.back();
+}
+
+/// Three sources built by @p make, each advanced @p k records: a clone of
+/// the third must match the first under fill() and the second under
+/// next_stream(), and the third itself must go on undisturbed.
+template <typename Make>
+void expect_clone_continues(Make make, std::size_t k, const std::string& what) {
+  const auto ref_fill = make();
+  const auto ref_scalar = make();
+  const auto src = make();
+  (void)advance(*ref_fill, k);
+  (void)advance(*ref_scalar, k);
+  const DynInst last = advance(*src, k);
+  ASSERT_FALSE(last.ends_stream) << what << ": clone point is not mid-stream";
+  const std::unique_ptr<TraceSource> a = src->clone();
+  const std::unique_ptr<TraceSource> b = src->clone();
+  ASSERT_NE(a, nullptr) << what;
+  ASSERT_NE(b, nullptr) << what;
+  EXPECT_EQ(a->instructions(), k) << what;
+  EXPECT_EQ(a->call_stack_pcs(64), ref_fill->call_stack_pcs(64)) << what;
+  constexpr std::size_t kRecords = 4000;
+  expect_same_records(batched_records(*ref_fill, kRecords),
+                      batched_records(*a, kRecords), what + " fill");
+  expect_same_records(scalar_records(*ref_scalar, kRecords),
+                      scalar_records(*b, kRecords), what + " next_stream");
+  const auto ref_src = make();
+  (void)advance(*ref_src, k);
+  expect_same_records(batched_records(*ref_src, kRecords),
+                      batched_records(*src, kRecords), what + " original");
+}
+
+/// First k >= @p from whose k-th record does not end its stream.
+template <typename Make>
+std::size_t mid_stream_count(Make make, std::size_t from) {
+  const auto probe = make();
+  (void)advance(*probe, from - 1);
+  for (std::size_t k = from;; ++k) {
+    if (!advance(*probe, 1).ends_stream) return k;
+  }
+}
+
+TEST(CursorClone, GeneratorCloneMidStreamContinuesIdentically) {
+  for (const char* bench : {"eon", "gcc"}) {
+    const workload::Program prog =
+        workload::generate_program(workload::profile_for(bench), 3);
+    const auto make = [&] {
+      return std::make_unique<workload::TraceGenerator>(prog, 42);
+    };
+    expect_clone_continues(make, mid_stream_count(make, 12345), bench);
+  }
+}
+
+TEST(CursorClone, ReplayCloneMidStreamContinuesAcrossWrap) {
+  const workload::Program prog =
+      workload::generate_program(workload::profile_for("gcc"), 11);
+  std::vector<DynInst> recorded;
+  {
+    workload::RecordingTraceSource recorder(prog, 42, &recorded);
+    for (int i = 0; i < 60; ++i) (void)recorder.next_stream();
+    EXPECT_EQ(recorder.clone(), nullptr)
+        << "a recording tee must not clone: the copy would record twice";
+  }
+  const auto image = std::make_shared<const std::vector<DynInst>>(recorded);
+  const auto make = [&] {
+    return std::make_unique<workload::ReplayTraceSource>(image);
+  };
+  // Clone a few records before the end of the lap: the continuation
+  // crosses the wrap seam.
+  expect_clone_continues(make, mid_stream_count(make, recorded.size() - 20),
+                         "replay");
 }
 
 }  // namespace

@@ -2,10 +2,14 @@
 // descriptor suffixes, plan determinism (including across worker
 // counts), PSCK checkpoint round-trips and corruption rejection,
 // prefetcher save/restore semantics, reconstruction fidelity against
-// the full run, error-bar-aware compare gating, and the golden-pinned
-// full-run store line proving the sampling block is strictly additive.
+// the full run, error-bar-aware compare gating, the golden-pinned
+// full-run store line proving the sampling block is strictly additive,
+// and the slice cursors: every slice's trace, cut from one forward walk,
+// equals a fresh source walked from instruction 0, a pinned sampled
+// store line, and typed errors for sources and plans that cannot slice.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -21,7 +25,11 @@
 #include "sample/checkpoint.hpp"
 #include "sample/plan.hpp"
 #include "sample/runner.hpp"
+#include "sample/sliced_source.hpp"
 #include "sim/presets.hpp"
+#include "workload/champsim.hpp"
+#include "workload/trace.hpp"
+#include "workload/trace_file.hpp"
 
 namespace {
 
@@ -383,6 +391,216 @@ TEST(SampledStore, FullRunLineMatchesGoldenPin) {
       "\"Mem\":1},"
       "\"prefetch_sources\":{\"PB\":188,\"il0\":0,\"il1\":9,\"ul2\":31,"
       "\"Mem\":7}}}";
+  EXPECT_EQ(line, pinned);
+}
+
+// --- slice cursors -----------------------------------------------------------
+
+/// The Cpu's oracle trace seed for MachineConfig::seed 1 (cpu.cpp).
+constexpr std::uint64_t kTraceSeed = 1 + 17;
+
+std::string fixture_path() {
+  // Built piecewise: GCC 12's LTO raises a false -Wstringop-overread on
+  // `std::string(dir) + "/..."` once this is inlined at enough sites.
+  std::string path = PRESTAGE_TEST_DATA_DIR;
+  path += "/fixture.champsim.trace";
+  return path;
+}
+
+/// Reads whole streams through fill() in odd-sized batches until at
+/// least @p min_records records have arrived, ending on a stream boundary.
+std::vector<workload::DynInst> fill_streams(workload::TraceSource& src,
+                                            std::size_t min_records) {
+  std::vector<workload::DynInst> out;
+  workload::DynInst buf[97];
+  while (out.size() < min_records) {
+    (void)src.fill(buf, 97);
+    out.insert(out.end(), buf, buf + 97);
+  }
+  while (!out.back().ends_stream) {
+    (void)src.fill(buf, 1);
+    out.push_back(buf[0]);
+  }
+  return out;
+}
+
+/// The reference slice: a fresh source walked stream by stream from
+/// instruction 0 to @p start, then @p n records renumbered from seq 0 —
+/// what a sliced run replayed before slices were cut from one cursor.
+std::vector<workload::DynInst> from_zero(workload::TraceSource& src,
+                                         std::uint64_t start, std::size_t n) {
+  while (src.instructions() < start) (void)src.next_stream();
+  EXPECT_EQ(src.instructions(), start) << "slice start not stream-aligned";
+  std::vector<workload::DynInst> out;
+  while (out.size() < n) {
+    for (workload::DynInst d : src.next_stream().insts) {
+      d.seq = out.size();
+      out.push_back(d);
+    }
+  }
+  return out;
+}
+
+/// Every slice of @p plan, cut from one walk of @p base, must hand its Cpu
+/// exactly the records and call stacks of a fresh source walked from 0.
+void expect_slices_match_from_zero(
+    const std::shared_ptr<const workload::WorkloadSpec>& base,
+    const sample::SamplePlan& plan) {
+  ASSERT_FALSE(plan.slices.empty());
+  sample::SliceWalk walk(base, kTraceSeed, plan);
+  std::shared_ptr<const workload::WorkloadSpec> spec;
+  for (std::size_t i = 0; i < plan.slices.size(); ++i) {
+    spec = walk.take(i);
+    const std::uint64_t start = plan.slices[i].warm_start;
+    const std::string what =
+        base->name() + " slice " + std::to_string(i) + " @" +
+        std::to_string(start);
+    const auto sliced = spec->make_source(kTraceSeed);
+    const auto fresh = base->make_source(kTraceSeed);
+    const std::vector<workload::DynInst> got = fill_streams(*sliced, 3000);
+    const std::vector<workload::DynInst> want =
+        from_zero(*fresh, start, got.size());
+    ASSERT_EQ(fresh->instructions(), start + got.size()) << what;
+    for (std::size_t r = 0; r < got.size(); ++r) {
+      const std::string at = what + " record " + std::to_string(r);
+      ASSERT_EQ(got[r].pc, want[r].pc) << at;
+      ASSERT_EQ(got[r].seq, want[r].seq) << at;
+      ASSERT_EQ(got[r].next_pc, want[r].next_pc) << at;
+      ASSERT_EQ(got[r].data_addr, want[r].data_addr) << at;
+      ASSERT_EQ(got[r].ends_stream, want[r].ends_stream) << at;
+    }
+    EXPECT_EQ(sliced->call_stack_pcs(64), fresh->call_stack_pcs(64)) << what;
+  }
+  // The cursor is copied per Cpu: a second source replays the same trace.
+  const auto again = spec->make_source(kTraceSeed);
+  const auto first = spec->make_source(kTraceSeed);
+  EXPECT_EQ(fill_streams(*again, 500).back().pc,
+            fill_streams(*first, 500).back().pc);
+}
+
+TEST(SliceCursor, SyntheticSlicesMatchAWalkFromZero) {
+  for (const char* bench : {"gcc", "eon"}) {
+    RunPoint point = full_point(400000);
+    point.benchmark = bench;
+    const auto cfg = point.machine_config();
+    const auto base = sample::base_workload(cfg);
+    sample::SamplePlan plan =
+        sample::build_plan(*base, cfg.seed, 400000, smoke_params(400000));
+    SCOPED_TRACE(bench);
+    expect_slices_match_from_zero(base, plan);
+    // A checkpointed plan need not be in trace order; the walk still
+    // visits its starts in ascending order.
+    std::reverse(plan.slices.begin(), plan.slices.end());
+    expect_slices_match_from_zero(base, plan);
+  }
+}
+
+TEST(SliceCursor, ChampSimSlicesMatchAWalkFromZeroAcrossTheWrapSeam) {
+  // 182 records per lap: every slice starts laps deep and its 3000
+  // compared records cross the wrap seam many times.
+  const std::shared_ptr<const workload::WorkloadSpec> base =
+      workload::import_champsim_trace(fixture_path());
+  const sample::SamplePlan plan =
+      sample::build_plan(*base, 1, 60000, smoke_params(60000));
+  ASSERT_GT(plan.slices.back().warm_start, 182u * 10);
+  expect_slices_match_from_zero(base, plan);
+}
+
+TEST(SliceCursor, SourceThatCannotCloneRaisesSimErrorNamingTheWorkload) {
+  const auto base =
+      std::make_shared<const workload::RecordingWorkloadSpec>("eon", 1);
+  const sample::SamplePlan plan =
+      sample::build_plan(*base, 1, 20000, smoke_params(20000));
+  const cpu::MachineConfig cfg = full_point(20000).machine_config();
+  try {
+    (void)sample::run_sampled_point_with_plan(cfg, base, plan);
+    FAIL() << "a recording source was sampled";
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("'eon'"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SliceCursor, SkipToAMidStreamTargetRaisesSimError) {
+  const auto cfg = full_point().machine_config();
+  const auto base = sample::base_workload(cfg);
+  // Positions just past the first stream end and inside a stream.
+  std::uint64_t aligned = 0;
+  std::uint64_t mid = 0;
+  {
+    const auto probe = base->make_source(kTraceSeed);
+    workload::DynInst d;
+    for (std::uint64_t n = 1; aligned == 0 || mid == 0; ++n) {
+      (void)probe->fill(&d, 1);
+      if (d.ends_stream) {
+        if (aligned == 0) aligned = n;
+      } else if (mid == 0) {
+        mid = n;
+      }
+    }
+  }
+  const auto source = base->make_source(kTraceSeed);
+  EXPECT_THROW(workload::skip_to(*source, mid), SimError);
+  const auto behind = base->make_source(kTraceSeed);
+  workload::skip_to(*behind, aligned);
+  EXPECT_THROW(workload::skip_to(*behind, 0), SimError)
+      << "a cursor only walks forward";
+
+  // The same misalignment in a plan (a checkpoint cut from another
+  // trace) fails the sampled run with the workload's name.
+  sample::SamplePlan plan = eon_plan();
+  plan.slices.back().warm_start = mid;
+  try {
+    (void)sample::run_sampled_point_with_plan(cfg, base, plan);
+    FAIL() << "a mid-stream slice start was simulated";
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("'eon'"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SliceCursor, SlicedSpecRejectsAnotherTraceSeed) {
+  const auto cfg = full_point().machine_config();
+  const auto base = sample::base_workload(cfg);
+  const sample::SamplePlan plan = eon_plan();
+  sample::SliceWalk walk(base, kTraceSeed, plan);
+  const auto spec = walk.take(0);
+  EXPECT_NE(spec->make_source(kTraceSeed), nullptr);
+  try {
+    (void)spec->make_source(kTraceSeed + 1);
+    FAIL() << "a slice cursor was handed out for another trace seed";
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("'eon'"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SampledStore, SmokeSampledLineMatchesPin) {
+  // Byte-level pin of one sampled store line at the smoke-sampled knobs
+  // and budget: slice positioning is a host-speed matter, so this line
+  // must not move when the way slices reach their start changes.
+  RunPoint point = full_point(400000);
+  point.preset = "clgp-l0-pb16";
+  point.config = "clgp-l0-pb16";
+  point.benchmark = "gcc";
+  point.sampling = smoke_params(400000);
+  const std::string line = campaign::encode_line(campaign::simulate(point));
+  const std::string pinned =
+      "{\"key\":\"a0debc80ea5ae770\",\"preset\":\"clgp-l0-pb16\","
+      "\"config\":\"clgp-l0-pb16\",\"node\":\"0.045um\","
+      "\"l1i_size\":4096,\"benchmark\":\"gcc\",\"instructions\":400000,"
+      "\"seed\":1,\"result\":{\"instructions\":400000,\"cycles\":758210,"
+      "\"ipc\":0.5275584433,\"mispredicts_per_kilo_instr\":19.02,"
+      "\"recoveries\":7608,\"blocks_predicted\":133926,"
+      "\"lines_fetched\":83666,\"prefetches_issued\":61257,"
+      "\"l2_hits\":53473,\"l2_misses\":8170,\"dcache_misses\":16144,"
+      "\"fetch_sources\":{\"PB\":80036,\"il0\":1969,\"il1\":324,"
+      "\"ul2\":1317,\"Mem\":20},"
+      "\"prefetch_sources\":{\"PB\":173692,\"il0\":0,\"il1\":14204,"
+      "\"ul2\":34267,\"Mem\":1235},"
+      "\"sampling\":{\"ipc_error\":0.02933962828,\"intervals\":80,"
+      "\"clusters\":4,\"slices\":4,\"cold_starts\":4,"
+      "\"simulated_instructions\":65152}}}";
   EXPECT_EQ(line, pinned);
 }
 
