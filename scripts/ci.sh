@@ -357,7 +357,9 @@ echo "sanitizer: every registered prefetcher ran clean under ASan+UBSan"
 # --- race-detector smoke -----------------------------------------------------
 # ThreadSanitizer build of the multi-worker surfaces: the campaign
 # engine's run/resume at -j 8 (ordered store flush + perf-sidecar
-# appends under contention), the run_parallel suite path, and the
+# appends under contention), a sampled campaign at -j 8 (the batch's
+# program and slice-cut caches shared across workers; its store must
+# match the Release one), the run_parallel suite path, and the
 # work-stealing scheduler's own regression tests. TSan exits non-zero
 # on any report, so `set -e` is the gate.
 cmake --preset tsan > /dev/null
@@ -371,13 +373,17 @@ head -n 4 build-tsan/ci-smoke-full.jsonl > build-tsan/ci-smoke.jsonl
 ./build-tsan/src/cli/prestage campaign resume --name smoke --instrs 1200 \
   --store build-tsan/ci-smoke.jsonl -j 8 > /dev/null
 cmp build-tsan/ci-smoke.jsonl build-tsan/ci-smoke-full.jsonl
+rm -f build-tsan/ci-sampled.jsonl build-tsan/ci-sampled.jsonl.perf
+./build-tsan/src/cli/prestage campaign run --name smoke-sampled \
+  --instrs $SAMPLE_INSTRS --store build-tsan/ci-sampled.jsonl -j 8 > /dev/null
+cmp build-tsan/ci-sampled.jsonl build/ci-sampled.jsonl
 ./build-tsan/src/cli/prestage suite --preset clgp-l0-pb16 --instrs 2000 \
   -j 8 > /dev/null
 ./build-tsan/tests/campaign_test \
   --gtest_filter='ParallelFor.*:CampaignEngine.*' > /dev/null
 ./build-tsan/tests/fault_test > /dev/null
 ./build-tsan/tests/memsys_stress_test > /dev/null
-echo "tsan: -j 8 run/resume, suite, scheduler and fault-layer tests" \
-  "ran race-free"
+echo "tsan: -j 8 run/resume, sampled run, suite, scheduler and" \
+  "fault-layer tests ran race-free"
 
 echo "ci: OK"

@@ -16,6 +16,7 @@
 #include "common/json.hpp"
 #include "common/parallel.hpp"
 #include "sample/runner.hpp"
+#include "sample/sliced_source.hpp"
 #include "sim/report.hpp"
 
 namespace prestage::campaign {
@@ -46,7 +47,8 @@ PointResult simulate(const RunPoint& point, const ExecControls& controls) {
     cfg.workload = controls.programs->get(cfg.benchmark, cfg.seed);
   }
   if (point.sampling.enabled) {
-    r.result = sample::run_sampled_point(cfg, point.sampling);
+    r.result =
+        sample::run_sampled_point(cfg, point.sampling, controls.slice_cuts);
   } else {
     cpu::Cpu machine(cfg);
     r.result = machine.run();
@@ -240,10 +242,13 @@ RunOutcome run_campaign(const CampaignSpec& spec,
   std::unique_ptr<LineAppender> failure_appender;
   sim::HostPerfAccumulator host;
   {
-    // Scoped to the simulation: the programs are freed before
-    // compact_store, whose peak already holds the store three times.
+    // Scoped to the simulation: the programs and slice cuts are freed
+    // before compact_store, whose peak already holds the store three
+    // times.
     workload::ProgramCache programs;
-    const ExecControls controls{nullptr, policy.point_host_seconds, &programs};
+    sample::SliceCutCache slice_cuts;
+    const ExecControls controls{nullptr, policy.point_host_seconds,
+                                &programs, &slice_cuts};
     run_ordered(
         todo, jobs,
         [&](const RunPoint& p) {
@@ -290,13 +295,22 @@ RunOutcome run_campaign(const CampaignSpec& spec,
 std::vector<PointResult> run_points(const std::vector<RunPoint>& points,
                                     unsigned jobs,
                                     const Progress& progress) {
+  workload::ProgramCache programs;
+  sample::SliceCutCache slice_cuts;
+  return run_points(points, jobs,
+                    ExecControls{nullptr, 0.0, &programs, &slice_cuts},
+                    progress);
+}
+
+std::vector<PointResult> run_points(const std::vector<RunPoint>& points,
+                                    unsigned jobs,
+                                    const ExecControls& controls,
+                                    const Progress& progress) {
   std::vector<const RunPoint*> refs;
   refs.reserve(points.size());
   for (const RunPoint& p : points) refs.push_back(&p);
   std::vector<PointResult> results;
   results.reserve(points.size());
-  workload::ProgramCache programs;
-  const ExecControls controls{nullptr, 0.0, &programs};
   run_ordered(
       refs, jobs,
       [&controls](const RunPoint& p) {

@@ -22,6 +22,10 @@
 #include "common/cancel.hpp"
 #include "workload/synthetic_spec.hpp"
 
+namespace prestage::sample {
+class SliceCutCache;
+}  // namespace prestage::sample
+
 namespace prestage::campaign {
 
 /// How the engine treats a run point that throws or runs away.
@@ -78,6 +82,11 @@ struct ExecControls {
   /// The batch's program cache: simulate() takes the point's program
   /// from it instead of building one. Null builds a fresh program.
   workload::ProgramCache* programs = nullptr;
+  /// The batch's slice-cut cache: a sampled point takes its plan's cut
+  /// trace cursors from it instead of walking the trace itself. It hits
+  /// only for points that share a program, so it rides with `programs`.
+  /// Null cuts per point.
+  sample::SliceCutCache* slice_cuts = nullptr;
 };
 
 /// Simulates one run point (used by the engine workers and tests).
@@ -88,7 +97,9 @@ struct ExecControls {
 /// Runs every point of @p spec that @p store_path does not already
 /// contain; appends the new results (in expansion order) to the store.
 /// Each (benchmark, seed) program is built once, on first use, in a
-/// ProgramCache that is released before the store is compacted.
+/// ProgramCache, and each sampling plan's slices are cut once, on first
+/// use, in a SliceCutCache; both are released before the store is
+/// compacted.
 /// A point that throws is retried and then quarantined per @p policy —
 /// the rest of the grid completes, and outcome.quarantined says how
 /// many points were abandoned (resume re-offers them, since their keys
@@ -111,10 +122,14 @@ bool compact_store(const std::string& store_path,
                    const std::vector<RunPoint>& points);
 
 /// In-memory variant for the bench harnesses: simulates the whole grid
-/// (no store involved, one ProgramCache for the call) and returns
-/// results in expansion order.
+/// (no store involved, one ProgramCache and one SliceCutCache for the
+/// call) and returns results in expansion order.
 [[nodiscard]] std::vector<PointResult> run_points(
     const std::vector<RunPoint>& points, unsigned jobs,
     const Progress& progress = {});
+/// Same, on the caches @p controls names (tests read their counters).
+[[nodiscard]] std::vector<PointResult> run_points(
+    const std::vector<RunPoint>& points, unsigned jobs,
+    const ExecControls& controls, const Progress& progress = {});
 
 }  // namespace prestage::campaign

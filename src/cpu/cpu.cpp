@@ -191,6 +191,7 @@ RunResult Cpu::run() {
   const Cycle cycle_cap = 10000 + target * 400;
 
   StatSnapshot warm{};
+  Cycle warm_skipped = 0;
   std::uint64_t watchdog_poll = 0;
   while (backend_->committed() < target) {
     // Runaway-point watchdog: a cheap mask test per iteration, the
@@ -215,6 +216,7 @@ RunResult Cpu::run() {
       warmup_done_ = true;
       warmup_cycle_ = cycle_;
       warmup_instrs_ = backend_->committed();
+      warm_skipped = cycles_skipped_;
       warm = take_snapshot(*fetch_engine_, *prefetcher_, *mem_, *backend_,
                            recoveries.value(),
                            driver_->blocks_predicted.value());
@@ -269,7 +271,7 @@ RunResult Cpu::run() {
           ? static_cast<double>(backend_->committed()) / 1e6 /
                 r.host_seconds
           : 0.0;
-  r.cycles_skipped = cycles_skipped_;
+  r.cycles_skipped = cycles_skipped_ - warm_skipped;
   return r;
 }
 

@@ -71,9 +71,11 @@ struct RunResult {
   double host_seconds = 0.0;
   /// Millions of simulated instructions committed per host second.
   double minstr_per_sec = 0.0;
-  /// Cycles the event-horizon skip advanced in bulk (whole run, warmup
-  /// included). Host diagnostics like the two fields above: the skip is
-  /// timing-neutral, so this is about where host time went, not timing.
+  /// Cycles of `cycles` (post-warmup, like every counter above) that the
+  /// event-horizon skip advanced in bulk; a sampled run scales it from
+  /// its slices like the counters. Host diagnostics like the two fields
+  /// above: the skip is timing-neutral, so this is about where host time
+  /// went, not timing.
   Cycle cycles_skipped = 0;
 };
 

@@ -31,25 +31,20 @@ namespace {
       std::llround(rate * static_cast<double>(budget)));
 }
 
-}  // namespace
-
-std::shared_ptr<const workload::WorkloadSpec> base_workload(
-    const cpu::MachineConfig& cfg) {
-  if (cfg.workload) return cfg.workload;
-  return std::make_shared<const workload::SyntheticWorkloadSpec>(
-      cfg.benchmark, cfg.seed);
+/// The Cpu's oracle trace seed (cpu.cpp), which the plan profiled too.
+[[nodiscard]] std::uint64_t trace_seed_of(const cpu::MachineConfig& cfg) {
+  return cfg.seed + 17;
 }
 
-cpu::RunResult run_sampled_point_with_plan(
-    const cpu::MachineConfig& cfg,
-    const std::shared_ptr<const workload::WorkloadSpec>& base,
-    const SamplePlan& plan) {
+/// Simulates every slice of @p plan on the workloads @p cuts hands it and
+/// reconstructs the whole run. Host time covers the slices only.
+cpu::RunResult run_slices(const cpu::MachineConfig& cfg,
+                          const SamplePlan& plan, const SliceCuts& cuts) {
   PRESTAGE_ASSERT(!plan.slices.empty(), "sampling plan with no slices");
+  PRESTAGE_ASSERT(cuts.size() == plan.slices.size(),
+                  "slice cuts of another plan");
   const auto host_start = std::chrono::steady_clock::now();
   const std::uint64_t budget = cfg.max_instructions;
-
-  // The Cpu's oracle trace seed (cpu.cpp), which the plan profiled too.
-  SliceWalk walk(base, cfg.seed + 17, plan);
 
   std::vector<cpu::RunResult> slices;
   std::vector<double> weights;
@@ -70,7 +65,7 @@ cpu::RunResult run_sampled_point_with_plan(
     // region so caches, branch predictor and prefetcher tables are
     // architecturally warm when statistics open at `slice.start`. The
     // functional i-warm checkpoint covers the warm-up's own cold front.
-    slice_cfg.workload = walk.take(i);
+    slice_cfg.workload = cuts[i];
     slice_cfg.max_instructions = slice.instructions;
     slice_cfg.warmup_instructions = slice.start - slice.warm_start;
 
@@ -151,6 +146,11 @@ cpu::RunResult run_sampled_point_with_plan(
   out.prefetches_issued = scale_counter(
       slices, weights, budget,
       [](const cpu::RunResult& r) { return r.prefetches_issued; });
+  // Host diagnostics, not a store field: scaled like the counters so
+  // that it reads against the reconstructed `cycles`.
+  out.cycles_skipped = scale_counter(
+      slices, weights, budget,
+      [](const cpu::RunResult& r) { return r.cycles_skipped; });
   out.mispredicts_per_kilo_instr =
       static_cast<double>(out.recoveries) * 1000.0 /
       static_cast<double>(budget);
@@ -190,17 +190,39 @@ cpu::RunResult run_sampled_point_with_plan(
   return out;
 }
 
+}  // namespace
+
+std::shared_ptr<const workload::WorkloadSpec> base_workload(
+    const cpu::MachineConfig& cfg) {
+  if (cfg.workload) return cfg.workload;
+  return std::make_shared<const workload::SyntheticWorkloadSpec>(
+      cfg.benchmark, cfg.seed);
+}
+
+cpu::RunResult run_sampled_point_with_plan(
+    const cpu::MachineConfig& cfg,
+    const std::shared_ptr<const workload::WorkloadSpec>& base,
+    const SamplePlan& plan) {
+  return run_slices(cfg, plan, cut_slices(base, trace_seed_of(cfg), plan));
+}
+
 cpu::RunResult run_sampled_point(const cpu::MachineConfig& cfg,
-                                 const ResolvedSamplingParams& params) {
+                                 const ResolvedSamplingParams& params,
+                                 SliceCutCache* slice_cuts) {
   PRESTAGE_ASSERT(params.enabled, "run_sampled_point: sampling disabled");
   const auto host_start = std::chrono::steady_clock::now();
   const std::shared_ptr<const workload::WorkloadSpec> base =
       base_workload(cfg);
   const std::shared_ptr<const SamplePlan> plan =
       get_or_build_plan(*base, cfg.seed, cfg.max_instructions, params);
-  cpu::RunResult out = run_sampled_point_with_plan(cfg, base, *plan);
-  // Charge this point for its plan share too (the cache makes that the
-  // profiling cost for the first point and ~0 for grid neighbors).
+  cpu::RunResult out =
+      slice_cuts != nullptr
+          ? run_slices(cfg, *plan,
+                       *slice_cuts->get(plan, base, trace_seed_of(cfg)))
+          : run_sampled_point_with_plan(cfg, base, *plan);
+  // Charge this point for its plan share and its slice cuts too (the
+  // caches make those the cost of the first point of a plan and ~0 for
+  // its grid neighbors).
   const std::chrono::duration<double> host_elapsed =
       std::chrono::steady_clock::now() - host_start;
   out.host_seconds = host_elapsed.count();

@@ -28,24 +28,30 @@ namespace prestage::sample {
 /// Relative IPC-error floor (percent) applied to every sampled estimate.
 inline constexpr double kMinRelativeIpcErrorPct = 5.0;
 
+class SliceCutCache;
+
 /// Runs @p cfg sampled under @p params. cfg.max_instructions is the
 /// full-run budget being estimated. Uses the process-wide plan cache, so
 /// grid neighbors (other presets/L1 sizes/nodes of the same workload)
-/// profile only once.
+/// profile only once. With @p slice_cuts (a batch's cache, see
+/// sliced_source.hpp) they also walk the trace to the slices only once;
+/// without it the point cuts its own slices.
 [[nodiscard]] cpu::RunResult run_sampled_point(
-    const cpu::MachineConfig& cfg, const ResolvedSamplingParams& params);
+    const cpu::MachineConfig& cfg, const ResolvedSamplingParams& params,
+    SliceCutCache* slice_cuts = nullptr);
 
 /// Same, but against an explicit plan (CLI `sample run --plan`,
 /// checkpoint round-trip tests). @p base must be the workload the plan
-/// was built from.
+/// was built from. Cuts the plan's slices itself, every call.
 [[nodiscard]] cpu::RunResult run_sampled_point_with_plan(
     const cpu::MachineConfig& cfg,
     const std::shared_ptr<const workload::WorkloadSpec>& base,
     const SamplePlan& plan);
 
 /// The workload a config samples over: cfg.workload when set (campaigns
-/// fill it from their ProgramCache), else a freshly built synthetic spec
-/// for (benchmark, seed) — the one the Cpu would build.
+/// fill it from their batch ProgramCache, which is what lets the batch's
+/// SliceCutCache hit), else a freshly built synthetic spec for
+/// (benchmark, seed) — the one the Cpu would build.
 [[nodiscard]] std::shared_ptr<const workload::WorkloadSpec> base_workload(
     const cpu::MachineConfig& cfg);
 

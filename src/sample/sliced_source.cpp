@@ -50,41 +50,60 @@ std::unique_ptr<workload::TraceSource> SlicedWorkloadSpec::make_source(
   return std::make_unique<SlicedTraceSource>(cursor_->clone(), start_);
 }
 
-SliceWalk::SliceWalk(std::shared_ptr<const workload::WorkloadSpec> base,
-                     std::uint64_t trace_seed, const SamplePlan& plan)
-    : base_(std::move(base)),
-      trace_seed_(trace_seed),
-      slices_(plan.slices),
-      order_(plan.slices.size()),
-      scout_(base_->make_source(trace_seed)),
-      cut_(plan.slices.size()) {
-  std::iota(order_.begin(), order_.end(), std::size_t{0});
-  std::stable_sort(order_.begin(), order_.end(),
+SliceCuts cut_slices(const std::shared_ptr<const workload::WorkloadSpec>& base,
+                     std::uint64_t trace_seed, const SamplePlan& plan) {
+  const std::vector<Slice>& slices = plan.slices;
+  std::vector<std::size_t> order(slices.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
-                     return slices_[a].warm_start < slices_[b].warm_start;
+                     return slices[a].warm_start < slices[b].warm_start;
                    });
-}
-
-std::shared_ptr<const workload::WorkloadSpec> SliceWalk::take(std::size_t i) {
-  PRESTAGE_ASSERT(i < cut_.size(), "slice index out of range");
-  while (!cut_[i]) {
-    PRESTAGE_ASSERT(next_ < order_.size(), "slice taken twice");
-    const std::size_t j = order_[next_++];
+  const std::unique_ptr<workload::TraceSource> scout =
+      base->make_source(trace_seed);
+  SliceCuts cuts(slices.size());
+  for (const std::size_t i : order) {
     try {
-      workload::skip_to(*scout_, slices_[j].warm_start);
+      workload::skip_to(*scout, slices[i].warm_start);
     } catch (const SimError& e) {
-      throw SimError("cannot sample workload '" + base_->name() +
+      throw SimError("cannot sample workload '" + base->name() +
                      "': " + e.what());
     }
-    std::unique_ptr<workload::TraceSource> cursor = scout_->clone();
+    std::unique_ptr<workload::TraceSource> cursor = scout->clone();
     if (!cursor) {
-      throw SimError("cannot sample workload '" + base_->name() +
+      throw SimError("cannot sample workload '" + base->name() +
                      "': its trace source cannot clone");
     }
-    cut_[j] = std::make_shared<const SlicedWorkloadSpec>(base_, trace_seed_,
+    cuts[i] = std::make_shared<const SlicedWorkloadSpec>(base, trace_seed,
                                                          std::move(cursor));
   }
-  return std::move(cut_[i]);
+  return cuts;
 }
+
+std::shared_ptr<const SliceCuts> SliceCutCache::get(
+    const std::shared_ptr<const SamplePlan>& plan,
+    const std::shared_ptr<const workload::WorkloadSpec>& base,
+    std::uint64_t trace_seed) {
+  Entry* entry = nullptr;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    // Map nodes never move, so the entry outlives the lock.
+    entry = &entries_[{plan.get(), base.get(), trace_seed}];
+  }
+  // Cut under the entry's own lock: other plans proceed meanwhile, and
+  // callers of this one wait for the one walk. A cut that throws leaves
+  // the entry empty, so the next caller retries and sees the same error.
+  const std::lock_guard<std::mutex> lock(entry->cut);
+  if (!entry->slices) {
+    entry->slices = std::make_shared<const SliceCuts>(
+        cut_slices(base, trace_seed, *plan));
+    entry->plan = plan;
+    entry->base = base;
+    ++cuts_;
+  }
+  return entry->slices;
+}
+
+std::size_t SliceCutCache::cuts() const { return cuts_.load(); }
 
 }  // namespace prestage::sample

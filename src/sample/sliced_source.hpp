@@ -1,12 +1,15 @@
 // Slice replay: hand a Cpu the trace from a plan slice's start onwards.
 //
 // Cost model. A sampled point simulates a handful of slices, each
-// starting deep inside the trace. SliceWalk generates the trace once per
-// point: one scout source walks forward through the slices' ascending
+// starting deep inside the trace. cut_slices() generates the trace once
+// per plan: one scout source walks forward through the slices' ascending
 // warm-up starts (workload::skip_to, the batched fill() path) and leaves
-// a clone() of itself at each. A point's trace work is therefore its
-// largest slice start, not the sum of all of them, and a slice's own
-// cost is the detailed simulation it asks for.
+// a clone() of itself at each. Reaching the slices therefore costs the
+// largest slice start, not the sum of all of them. A batch run (campaign
+// run_campaign and run_points) keeps the cuts in a SliceCutCache, so the
+// schemes of a grid that share a plan share its cuts too: the walk is
+// paid once per plan per batch, by the point that cuts first, and a
+// slice's own cost is the detailed simulation it asks for.
 //
 // SlicedWorkloadSpec holds one such positioned cursor and gives every
 // Cpu built from it a fresh copy. SlicedTraceSource wraps that copy and
@@ -15,9 +18,14 @@
 // by construction, so every slice start is a stream boundary.
 #pragma once
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "sample/plan.hpp"
@@ -81,32 +89,54 @@ class SlicedWorkloadSpec final : public workload::WorkloadSpec {
   std::unique_ptr<const workload::TraceSource> cursor_;
 };
 
-/// Cuts the workloads of a plan's slices from one forward walk: a scout
-/// source of the base workload visits the slices' warm-up starts in
-/// ascending order and leaves a clone at each. Slices are cut on demand,
-/// so a plan in ascending order (every built plan) holds one cursor at a
-/// time; a checkpointed plan in another order still runs, holding the
-/// slices the walk passed until they are taken.
-class SliceWalk {
- public:
-  /// @p plan must outlive the walk.
-  SliceWalk(std::shared_ptr<const workload::WorkloadSpec> base,
-            std::uint64_t trace_seed, const SamplePlan& plan);
+/// The workloads a plan's slices run on, in slice-index order.
+using SliceCuts = std::vector<std::shared_ptr<const workload::WorkloadSpec>>;
 
-  /// The workload slice @p i runs on; each slice is taken once. Throws
-  /// SimError, naming the workload, when its source cannot clone or a
-  /// warm-up start is not a stream boundary of its trace.
-  [[nodiscard]] std::shared_ptr<const workload::WorkloadSpec> take(
-      std::size_t i);
+/// Cuts every slice of @p plan from one forward walk: a scout source of
+/// @p base (made with @p trace_seed) visits the slices' warm-up starts in
+/// ascending order and leaves a clone at each, so a checkpointed plan in
+/// any slice order cuts with one walk too. Throws SimError, naming the
+/// workload, when the source cannot clone or a warm-up start is not a
+/// stream boundary of its trace.
+[[nodiscard]] SliceCuts cut_slices(
+    const std::shared_ptr<const workload::WorkloadSpec>& base,
+    std::uint64_t trace_seed, const SamplePlan& plan);
+
+/// Thread-safe (plan, base workload, trace seed) -> SliceCuts cache with
+/// one cut per key: concurrent callers of a key not yet cut wait for the
+/// one cutter rather than walking the trace again. Keys are object
+/// identities, so the schemes of a grid hit only when they share the
+/// plan (the process-wide plan cache) and the base workload (a
+/// workload::ProgramCache). It follows ProgramCache's lifetime rule
+/// (synthetic_spec.hpp): scoped to one batch, never prewarmed, released
+/// before the campaign store is compacted.
+class SliceCutCache {
+ public:
+  [[nodiscard]] std::shared_ptr<const SliceCuts> get(
+      const std::shared_ptr<const SamplePlan>& plan,
+      const std::shared_ptr<const workload::WorkloadSpec>& base,
+      std::uint64_t trace_seed);
+
+  /// Plans cut so far (tests).
+  [[nodiscard]] std::size_t cuts() const;
 
  private:
-  std::shared_ptr<const workload::WorkloadSpec> base_;
-  std::uint64_t trace_seed_;
-  const std::vector<Slice>& slices_;
-  std::vector<std::size_t> order_;  ///< slice indices by warm_start
-  std::size_t next_ = 0;            ///< next position in order_ to cut
-  std::unique_ptr<workload::TraceSource> scout_;
-  std::vector<std::shared_ptr<const workload::WorkloadSpec>> cut_;
+  struct Entry {
+    std::mutex cut;  ///< held while this key's slices are cut
+    // The key's objects stay alive with the entry, so their addresses
+    // are never reused for another key while the cache lives.
+    std::shared_ptr<const SamplePlan> plan;
+    std::shared_ptr<const workload::WorkloadSpec> base;
+    std::shared_ptr<const SliceCuts> slices;
+  };
+  // Object identities: the map is only looked up, never iterated, so no
+  // address ever orders anything a run reports.
+  using Key = std::tuple<const SamplePlan*, const workload::WorkloadSpec*,
+                         std::uint64_t>;
+
+  std::mutex mutex_;  ///< guards the map, not the entries
+  std::map<Key, Entry> entries_;
+  std::atomic<std::size_t> cuts_{0};
 };
 
 }  // namespace prestage::sample

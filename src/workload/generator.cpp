@@ -96,8 +96,9 @@ class Builder {
       site.cls = DataSiteClass::StackLocal;
     } else if (r < p_.stack_site_frac + p_.stream_site_frac) {
       site.cls = DataSiteClass::Stream;
-      constexpr std::uint32_t strides[] = {8, 8, 8, 16};
+      constexpr std::uint16_t strides[] = {8, 8, 8, 16};
       site.stride = strides[rng_.below(4)];
+      site.stream_slot = prog_.stream_sites++;
     } else {
       site.cls = DataSiteClass::PointerChase;
     }

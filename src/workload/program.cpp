@@ -76,6 +76,13 @@ void Program::validate() const {
                       "memory instruction without a data site");
     }
   }
+  for (const DataSite& site : data_sites) {
+    PRESTAGE_ASSERT((site.cls == DataSiteClass::Stream) ==
+                        (site.stream_slot < stream_sites),
+                    "stream cursor slot out of range");
+  }
+  PRESTAGE_ASSERT(stream_sites == 0 || data_ws_bytes <= (1ULL << 32U),
+                  "stream cursors are 32-bit offsets into the working set");
   for (BlockId root : region_roots) {
     PRESTAGE_ASSERT(root < blocks.size());
   }

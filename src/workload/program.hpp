@@ -53,12 +53,18 @@ enum class DataSiteClass : std::uint8_t {
   PointerChase,  ///< uniform-random access over the working set
 };
 
+inline constexpr std::uint32_t kNoSite = static_cast<std::uint32_t>(-1);
+
+// 8 bytes: a program holds one per static load/store site.
 struct DataSite {
   DataSiteClass cls = DataSiteClass::StackLocal;
-  std::uint32_t stride = 8;  ///< bytes, for Stream sites
+  std::uint16_t stride = 8;  ///< bytes, for Stream sites
+  /// Stream sites: this site's slot in the walker's cursor table, dense
+  /// over the program's Stream sites. kNoSite for the other classes,
+  /// which keep no cursor.
+  std::uint32_t stream_slot = kNoSite;
 };
-
-inline constexpr std::uint32_t kNoSite = static_cast<std::uint32_t>(-1);
+static_assert(sizeof(DataSite) == 8);
 
 struct StaticInst {
   OpClass op = OpClass::IntAlu;
@@ -93,6 +99,7 @@ class Program {
   std::vector<BasicBlock> blocks;   ///< laid out contiguously by address
   std::vector<StaticInst> insts;    ///< every instruction, in address order
   std::vector<DataSite> data_sites;
+  std::uint32_t stream_sites = 0;  ///< Stream-class data sites (slots)
   std::vector<BlockId> region_roots;  ///< entry function of each region
   BlockId dispatcher_head = 0;        ///< loop head of the dispatcher
   Addr base = 0x10000;

@@ -19,6 +19,10 @@
 //    copies of the store plus the parsed store at its peak;
 //  - never prewarmed: a program is built on the first request for its
 //    key, so set-up before the first point builds nothing.
+// The campaign engine keeps a sample::SliceCutCache (sliced_source.hpp)
+// beside it under the same rule: a sampling plan's slice cursors are cut
+// once per (plan, program) in the batch, on the first sampled point that
+// asks, and are released with the program cache.
 #pragma once
 
 #include <atomic>

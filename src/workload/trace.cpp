@@ -55,7 +55,7 @@ TraceGenerator::TraceGenerator(const Program& program, std::uint64_t seed)
     : prog_(program),
       rng_(hash_mix(seed ^ 0xabcdef1234567890ULL)),
       cur_block_(program.dispatcher_head),
-      site_cursors_(program.data_sites.size(), 0) {
+      site_cursors_(program.stream_sites, 0) {
   PRESTAGE_ASSERT(!program.blocks.empty());
 }
 
@@ -86,8 +86,9 @@ Addr TraceGenerator::data_address(std::uint32_t site_id) {
     case DataSiteClass::StackLocal:
       return kStackBase + (rng_.below(kStackBytes / 8) * 8);
     case DataSiteClass::Stream: {
-      std::uint64_t& cursor = site_cursors_[site_id];
-      cursor = (cursor + site.stride) % prog_.data_ws_bytes;
+      std::uint32_t& cursor = site_cursors_[site.stream_slot];
+      cursor = static_cast<std::uint32_t>(
+          (std::uint64_t{cursor} + site.stride) % prog_.data_ws_bytes);
       return kHeapBase + cursor;
     }
     case DataSiteClass::PointerChase: {

@@ -151,7 +151,11 @@ class TraceGenerator final : public TraceSource {
   /// flat table: the lookup sits on the per-branch path of trace
   /// generation, where unordered_map's node hops dominated the profile.
   AddrMap latch_counts_;
-  std::vector<std::uint64_t> site_cursors_;
+  /// Stream-site walk offsets, indexed by DataSite::stream_slot: only
+  /// Stream sites advance a cursor, and every clone copies this table.
+  /// 32 bits each: an offset stays below data_ws_bytes, which
+  /// Program::validate bounds by 4 GiB for programs with Stream sites.
+  std::vector<std::uint32_t> site_cursors_;
 };
 
 /// Advances @p source through the batched fill() until it has emitted

@@ -25,6 +25,9 @@
 #include "common/parallel.hpp"
 #include "common/stats.hpp"
 #include "cpu/cpu.hpp"
+#include "sample/plan.hpp"
+#include "sample/runner.hpp"
+#include "sample/sliced_source.hpp"
 #include "workload/synthetic_spec.hpp"
 
 namespace {
@@ -198,7 +201,7 @@ TEST(CampaignEngine, SimulateTakesEachProgramFromTheBatchCache) {
   // Three schemes of one (benchmark, seed) share one program build, and
   // the shared image changes no result byte.
   workload::ProgramCache programs;
-  const campaign::ExecControls controls{nullptr, 0.0, &programs};
+  const campaign::ExecControls controls{nullptr, 0.0, &programs, nullptr};
   CampaignSpec spec = tiny_spec();
   spec.presets = {"base", "clgp-l0", "fdp-l0"};
   spec.l1_sizes = {4096};
@@ -209,6 +212,83 @@ TEST(CampaignEngine, SimulateTakesEachProgramFromTheBatchCache) {
         << p.key();
   }
   EXPECT_EQ(programs.builds(), 1u);
+}
+
+/// Every registered scheme on gcc and mcf, phase-sampled with the CI
+/// smoke-sampled knobs: 7 schemes share each benchmark's plan.
+CampaignSpec sampled_scheme_grid() {
+  CampaignSpec spec;
+  spec.name = "sampled-schemes";
+  spec.presets = {"base-pipelined", "next-line-l0",   "stream-l0",
+                  "mana-l0",        "program-map-l0", "fdp-l0-pb16",
+                  "clgp-l0-pb16"};
+  spec.nodes = {cacti::TechNode::um045};
+  spec.l1_sizes = {4096};
+  spec.benchmarks = {"gcc", "mcf"};
+  spec.instructions = 60000;
+  spec.sampling.enabled = true;
+  spec.sampling.interval_instructions = 5000;
+  spec.sampling.max_clusters = 4;
+  spec.sampling.warmup_intervals = 3;
+  return spec;
+}
+
+std::vector<std::string> encoded(const std::vector<PointResult>& results) {
+  std::vector<std::string> lines;
+  for (const PointResult& r : results) {
+    lines.push_back(campaign::encode_line(r));
+  }
+  return lines;
+}
+
+TEST(CampaignEngine, SampledGridCutsEachPlansSlicesOnce) {
+  const std::vector<RunPoint> points = campaign::expand(sampled_scheme_grid());
+  ASSERT_EQ(points.size(), 14u);
+  workload::ProgramCache programs;
+  sample::SliceCutCache slice_cuts;
+  const std::vector<PointResult> results = campaign::run_points(
+      points, 4, campaign::ExecControls{nullptr, 0.0, &programs, &slice_cuts});
+  EXPECT_EQ(programs.builds(), 2u);
+  EXPECT_EQ(slice_cuts.cuts(), 2u) << "one cut per (plan, program)";
+
+  // The same lines on one worker, and from the uncached path: every
+  // point cutting its own slices from a program of its own.
+  EXPECT_EQ(encoded(campaign::run_points(points, 1)), encoded(results));
+  ASSERT_EQ(results.size(), points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const cpu::MachineConfig cfg = points[i].machine_config();
+    const auto base = sample::base_workload(cfg);
+    const auto plan = sample::get_or_build_plan(
+        *base, cfg.seed, cfg.max_instructions, points[i].sampling);
+    PointResult uncached = results[i];
+    uncached.result = sample::run_sampled_point_with_plan(cfg, base, *plan);
+    EXPECT_EQ(campaign::encode_line(uncached),
+              campaign::encode_line(results[i]))
+        << points[i].key();
+  }
+}
+
+TEST(CampaignEngine, SliceCutCacheKeysOnPlanAndProgram) {
+  CampaignSpec spec = sampled_scheme_grid();
+  spec.presets = {"base-pipelined", "clgp-l0-pb16"};
+  spec.benchmarks = {"mcf"};
+  const std::vector<RunPoint> points = campaign::expand(spec);
+  workload::ProgramCache programs;
+  sample::SliceCutCache slice_cuts;
+  const campaign::ExecControls controls{nullptr, 0.0, &programs,
+                                        &slice_cuts};
+  for (const RunPoint& p : points) (void)campaign::simulate(p, controls);
+  EXPECT_EQ(slice_cuts.cuts(), 1u);
+  // Another budget is another plan; a program of its own (no program
+  // cache) is another base workload. Each cuts once more.
+  RunPoint longer = points.front();
+  longer.instructions = 80000;
+  (void)campaign::simulate(longer, controls);
+  EXPECT_EQ(slice_cuts.cuts(), 2u);
+  (void)campaign::simulate(
+      points.front(),
+      campaign::ExecControls{nullptr, 0.0, nullptr, &slice_cuts});
+  EXPECT_EQ(slice_cuts.cuts(), 3u);
 }
 
 TEST(CampaignEngine, CachedProgramIsFreedWithTheCacheAndItsUsers) {

@@ -447,10 +447,11 @@ void expect_slices_match_from_zero(
     const std::shared_ptr<const workload::WorkloadSpec>& base,
     const sample::SamplePlan& plan) {
   ASSERT_FALSE(plan.slices.empty());
-  sample::SliceWalk walk(base, kTraceSeed, plan);
+  const sample::SliceCuts cuts = sample::cut_slices(base, kTraceSeed, plan);
+  ASSERT_EQ(cuts.size(), plan.slices.size());
   std::shared_ptr<const workload::WorkloadSpec> spec;
   for (std::size_t i = 0; i < plan.slices.size(); ++i) {
-    spec = walk.take(i);
+    spec = cuts[i];
     const std::uint64_t start = plan.slices[i].warm_start;
     const std::string what =
         base->name() + " slice " + std::to_string(i) + " @" +
@@ -488,7 +489,7 @@ TEST(SliceCursor, SyntheticSlicesMatchAWalkFromZero) {
         sample::build_plan(*base, cfg.seed, 400000, smoke_params(400000));
     SCOPED_TRACE(bench);
     expect_slices_match_from_zero(base, plan);
-    // A checkpointed plan need not be in trace order; the walk still
+    // A checkpointed plan need not be in trace order; the cut still
     // visits its starts in ascending order.
     std::reverse(plan.slices.begin(), plan.slices.end());
     expect_slices_match_from_zero(base, plan);
@@ -563,8 +564,7 @@ TEST(SliceCursor, SlicedSpecRejectsAnotherTraceSeed) {
   const auto cfg = full_point().machine_config();
   const auto base = sample::base_workload(cfg);
   const sample::SamplePlan plan = eon_plan();
-  sample::SliceWalk walk(base, kTraceSeed, plan);
-  const auto spec = walk.take(0);
+  const auto spec = sample::cut_slices(base, kTraceSeed, plan).front();
   EXPECT_NE(spec->make_source(kTraceSeed), nullptr);
   try {
     (void)spec->make_source(kTraceSeed + 1);
@@ -573,6 +573,18 @@ TEST(SliceCursor, SlicedSpecRejectsAnotherTraceSeed) {
     EXPECT_NE(std::string(e.what()).find("'eon'"), std::string::npos)
         << e.what();
   }
+}
+
+TEST(SampledRun, CyclesSkippedIsScaledLikeTheCycles) {
+  // The skip's share of the reconstructed run: post-warmup per slice,
+  // so it reads against the reconstructed cycles.
+  RunPoint point = full_point(120000);
+  point.benchmark = "mcf";
+  point.sampling = smoke_params(120000);
+  const cpu::RunResult r = campaign::simulate(point).result;
+  ASSERT_TRUE(r.sampled);
+  EXPECT_GT(r.cycles_skipped, 0u);
+  EXPECT_LE(r.cycles_skipped, r.cycles);
 }
 
 TEST(SampledStore, SmokeSampledLineMatchesPin) {
