@@ -8,7 +8,10 @@
 // full() still enforces) the requested hardware bound.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -38,6 +41,20 @@ class RingBuffer {
     PRESTAGE_ASSERT(!full(), "push on full ring buffer");
     slots_[(head_ + size_) & mask_] = std::move(value);
     ++size_;
+  }
+
+  /// Appends one element, constructed in place from @p args by aggregate
+  /// initialisation (members left out keep their default initialisers),
+  /// and returns it. Precondition: !full().
+  template <typename... Args>
+  T& emplace(Args&&... args) {
+    static_assert(std::is_nothrow_constructible_v<T, Args&&...>,
+                  "emplace destroys the slot first: it may not throw");
+    PRESTAGE_ASSERT(!full(), "emplace on full ring buffer");
+    T* slot = &slots_[(head_ + size_) & mask_];
+    ++size_;
+    std::destroy_at(slot);
+    return *std::construct_at(slot, std::forward<Args>(args)...);
   }
 
   /// Removes and returns the head. Precondition: !empty().
@@ -116,6 +133,20 @@ class GrowableRingBuffer {
     if (size_ == slots_.size()) grow();
     slots_[(head_ + size_) & mask()] = std::move(value);
     ++size_;
+  }
+
+  /// Appends @p n elements, built in place by @p fill: it is called with
+  /// (T* first, std::size_t count) once, or twice when the batch crosses
+  /// the wrap seam, and must assign every element of each span. Grows, if
+  /// the free space is short, before the first call.
+  template <typename Fill>
+  void append_n(std::size_t n, Fill&& fill) {
+    while (size_ + n > slots_.size()) grow();
+    const std::size_t tail = (head_ + size_) & mask();
+    const std::size_t first = std::min(n, slots_.size() - tail);
+    fill(slots_.data() + tail, first);
+    if (first < n) fill(slots_.data(), n - first);
+    size_ += n;
   }
 
   void pop_front() {

@@ -1,15 +1,17 @@
-// Lightweight named statistics for simulator components.
+// Statistics primitives for simulator components.
 //
-// Components register counters/distributions in a StatSet; the sim harness
-// walks the set to build reports. Counting must be cheap (a single add on
-// the fast path), so the stat objects are plain structs and formatting is
-// deferred to report time.
+// Each unit keeps its counters as plain public members: Counter for event
+// counts, Distribution for a sampled quantity's mean/min/max, and
+// SourceBreakdown for per-FetchSource counts (the paper's Figures 7/8).
+// Counting is a single add on the fast path; Cpu::run reads the members
+// it reports into RunResult directly, and formatting is left to the
+// report layer (write_source_counts/fractions, the campaign reports).
+// IdlePlan carries a unit's per-cycle stall counter to the event-horizon
+// skip, which folds skipped cycles into it.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "common/prestage_assert.hpp"

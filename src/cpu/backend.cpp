@@ -14,12 +14,16 @@ Backend::Backend(const MachineConfig& cfg, Oracle& oracle,
       prog_(program),
       mem_(mem),
       l1d_(cfg.l1d_size, cfg.line_bytes, cfg.l1d_assoc),
-      decode_(static_cast<std::size_t>(cfg.decode_stages) * cfg.width) {}
+      decode_(static_cast<std::size_t>(cfg.decode_stages) * cfg.width),
+      ruu_(cfg.ruu_size),
+      culprits_(cfg.ruu_size) {
+  unissued_.reserve(cfg.ruu_size);
+}
 
 void Backend::accept(const frontend::FetchedInst& inst) {
   PRESTAGE_ASSERT(!decode_.full(), "accept into full decode pipe");
-  decode_.push(Staged{inst, next_order_++,
-                      now_ + static_cast<Cycle>(cfg_.decode_stages)});
+  decode_.emplace(inst, next_order_++,
+                  now_ + static_cast<Cycle>(cfg_.decode_stages));
 }
 
 bool Backend::recovery_due(Cycle now) const {
@@ -30,18 +34,17 @@ bool Backend::recovery_due(Cycle now) const {
 
 void Backend::squash_younger_than_culprit() {
   PRESTAGE_ASSERT(!culprits_.empty(), "squash without a resolved culprit");
-  Slot& culprit = *culprits_.front();
-  const std::uint64_t culprit_order = culprit.order;
-  culprit.recovery_handled = true;
-  culprits_.pop_front();
+  const std::uint64_t culprit_order = culprits_.front()->order;
+  (void)culprits_.pop();
   while (!culprits_.empty() && culprits_.back()->order > culprit_order) {
-    culprits_.pop_back();
+    culprits_.pop_back_n(1);
   }
   while (!unissued_.empty() && unissued_.back()->order > culprit_order) {
     unissued_.pop_back();
   }
   while (!ruu_.empty() && ruu_.back().order > culprit_order) {
-    ruu_.pop_back();
+    ruu_.back().order = 0;  // voids any fill still in flight for it
+    ruu_.pop_back_n(1);
   }
   decode_.clear();
 }
@@ -72,24 +75,20 @@ void Backend::issue_one(Slot& s, Cycle now, std::uint32_t& loads_this_cycle) {
       return;
     }
     dcache_misses.add();
-    const std::uint64_t order = s.order;
     mem_.submit(mem::ReqType::Data, line, now,
-                [this, order, line](FetchSource, Cycle ready) {
+                [this, slot = &s, order = s.order, line](FetchSource,
+                                                         Cycle ready) {
                   const auto ev = l1d_.insert(line);
                   if (ev.has_value() && ev->dirty) {
                     mem_.submit_writeback(ev->line, ready);
                   }
-                  for (Slot& slot : ruu_) {
-                    if (slot.order == order) {
-                      slot.done = ready + 1;
-                      // Wake dependents through the scoreboard now, not
-                      // at commit.
-                      if (slot.dst != kNoReg && !slot.f.wrong_path &&
-                          reg_ready_[slot.dst] < slot.done) {
-                        reg_ready_[slot.dst] = slot.done;
-                      }
-                      return;
-                    }
+                  if (slot->order != order) return;  // squashed meanwhile
+                  slot->done = ready + 1;
+                  // Wake dependents through the scoreboard now, not at
+                  // commit.
+                  if (slot->dst != kNoReg && !slot->f.wrong_path &&
+                      reg_ready_[slot->dst] < slot->done) {
+                    reg_ready_[slot->dst] = slot->done;
                   }
                 });
     s.done = kNoCycle;  // completed by the fill callback
@@ -142,7 +141,7 @@ void Backend::tick_commit(Cycle now) {
     }
     ++committed_;
     oracle_.release_below(head.f.oracle_seq);
-    ruu_.pop_front();
+    (void)ruu_.pop();
     ++retired;
   }
 }
@@ -217,9 +216,7 @@ void Backend::tick_dispatch(Cycle now) {
     const Staged& st = decode_.front();
     if (st.ready_at > now) return;
 
-    Slot s;
-    s.f = st.f;
-    s.order = st.order;
+    Slot& s = ruu_.emplace(st.f, st.order);
     if (st.f.wrong_path) {
       wrong_path_dispatched.add();
       if (prog_.contains_pc(st.f.pc)) {
@@ -242,9 +239,8 @@ void Backend::tick_dispatch(Cycle now) {
       s.src2 = d.src2;
       s.data_addr = d.data_addr;
     }
-    ruu_.push_back(s);
-    unissued_.push_back(&ruu_.back());
-    if (s.f.culprit) culprits_.push_back(&ruu_.back());
+    unissued_.push_back(&s);
+    if (s.f.culprit) culprits_.push(&s);
     (void)decode_.pop();
     ++dispatched;
   }

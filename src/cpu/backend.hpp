@@ -11,8 +11,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
+#include "common/prestage_assert.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/stats.hpp"
 #include "cpu/config.hpp"
@@ -73,6 +74,12 @@ class Backend final : public frontend::IFetchSink {
     return decode_.empty() && ruu_.empty();
   }
 
+  /// Scoreboard: the cycle register @p r's newest value is ready.
+  [[nodiscard]] Cycle reg_ready_at(RegId r) const {
+    PRESTAGE_ASSERT(r < kNumRegs, "scoreboard read of a non-register");
+    return reg_ready_[r];
+  }
+
   // --- statistics -------------------------------------------------------
   Counter wrong_path_dispatched;
   Counter dcache_hits;
@@ -90,7 +97,7 @@ class Backend final : public frontend::IFetchSink {
 
   struct Slot {
     frontend::FetchedInst f;
-    std::uint64_t order = 0;
+    std::uint64_t order = 0;  ///< 0 once popped by a squash
     OpClass op = OpClass::IntAlu;
     RegId dst = kNoReg;
     RegId src1 = kNoReg;
@@ -98,7 +105,6 @@ class Backend final : public frontend::IFetchSink {
     Addr data_addr = kNoAddr;
     Cycle done = kNoCycle;  ///< completion cycle; kNoCycle = outstanding
     bool issued = false;
-    bool recovery_handled = false;  ///< culprit already triggered recovery
   };
 
   [[nodiscard]] bool reg_ready(RegId r, Cycle now) const {
@@ -114,14 +120,21 @@ class Backend final : public frontend::IFetchSink {
   mem::SetAssocCache l1d_;
 
   RingBuffer<Staged> decode_;
-  std::deque<Slot> ruu_;
-  // Hot-path indices over ruu_, in program order. Raw pointers are safe:
-  // std::deque never moves surviving elements on push_back/pop_front/
-  // pop_back, commit only pops issued slots (never in unissued_, and an
-  // unhandled culprit cannot reach commit — recovery fires first), and
-  // squash prunes both lists alongside the slots it pops.
+  RingBuffer<Slot> ruu_;  ///< ruu_size slots, oldest first
+  // Hot-path indices over ruu_, in program order. A slot's storage never
+  // moves (the ring is allocated once), so a Slot* stays valid for as
+  // long as that occupant lives; once popped, the same address may hold
+  // a younger instruction. Both lists drop a slot before it is popped:
+  // commit pops only issued slots (never in unissued_, and an unhandled
+  // culprit cannot reach commit because recovery fires first), and squash
+  // prunes both lists alongside the slots it pops. A D-cache fill holds a
+  // handle instead, the Slot* plus the order it was issued under:
+  // squash zeroes the order of every slot it pops and orders are never
+  // reused, so a fill whose load was squashed finds a different order
+  // and leaves the slot, and its new occupant, alone. A live missing
+  // load cannot commit before its fill (its done is unset until then).
   std::vector<Slot*> unissued_;  ///< dispatch order; tick_issue's scan set
-  std::deque<Slot*> culprits_;   ///< unhandled culprits, oldest first
+  RingBuffer<Slot*> culprits_;   ///< unhandled culprits, oldest first
   Cycle reg_ready_[kNumRegs] = {};
   std::uint64_t next_order_ = 1;
   std::uint64_t committed_ = 0;

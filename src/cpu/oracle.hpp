@@ -6,10 +6,10 @@
 //    a recovery from a length-underprediction);
 //  * a sliding DynInst window — the back-end resolves correct-path
 //    instruction metadata by sequence number. The window doubles as the
-//    decode ring: records arrive from the source in fixed-size
-//    TraceSource::fill() batches (one virtual call per ~256 records
-//    instead of one per stream), and the oracle re-segments them into
-//    streams at the consume cursor;
+//    decode ring: the source writes records straight into it in
+//    fixed-size TraceSource::fill() batches (one virtual call per ~256
+//    records instead of one per stream), and the oracle re-segments them
+//    into streams at the consume cursor;
 //  * per-stream call-stack snapshots — recovery repairs the speculative
 //    RAS with the call stack as of the resume point (a stream contains at
 //    most one call/return, always its final instruction, so the snapshot
@@ -108,11 +108,14 @@ class Oracle {
   /// (and a recording tee's trailing streams) stays negligible.
   static constexpr std::size_t kFillBatch = 256;
 
+  /// Decodes the next batch straight into the window's free tail: one
+  /// fill() call, or two when the batch crosses the ring's wrap seam.
   void refill() {
-    workload::DynInst buf[kFillBatch];
-    const std::size_t got = walker_->fill(buf, kFillBatch);
-    PRESTAGE_ASSERT(got == kFillBatch, "trace source under-filled");
-    for (std::size_t i = 0; i < got; ++i) window_.push_back(buf[i]);
+    window_.append_n(kFillBatch, [this](workload::DynInst* out,
+                                        std::size_t n) {
+      const std::size_t got = walker_->fill(out, n);
+      PRESTAGE_ASSERT(got == n, "trace source under-filled");
+    });
   }
 
   void advance_stream() {

@@ -58,8 +58,8 @@ void FetchEngine::initiate(Cycle now) {
     stall_cycles_structural.add();
     return;
   }
-  const auto view = queue_.peek_line();
-  if (!view.has_value()) {
+  const LineView* view = queue_.peek_line();
+  if (view == nullptr) {
     stall_cycles_no_request.add();
     return;
   }
@@ -78,13 +78,13 @@ void FetchEngine::initiate(Cycle now) {
 
   // All one-cycle-reachable structures are probed in parallel; the demand
   // takes the earliest available source (ties prefer the pre-buffer, then
-  // L0 — the paper's fetch priority).
-  Pending p;
-  p.view = *view;
-  p.id = next_id_++;
+  // L0 — the paper's fetch priority). Every branch that does not issue
+  // returns; the ones that do fall through to build the Pending entry.
+  Cycle ready = kNoCycle;
+  FetchSource source = FetchSource::L1;
+  bool streaming = false;
 
   const prefetch::PreBufferProbe pb = prefetcher_.probe(line);
-  bool issued = false;
   if (pb.present) {
     if (pb.data_ready == kNoCycle) {
       // The line's prefetch is in flight below L1 and its arrival time is
@@ -95,8 +95,7 @@ void FetchEngine::initiate(Cycle now) {
     }
     mem::LatencyPort* port = prefetcher_.pb_port();
     PRESTAGE_ASSERT(port != nullptr, "pre-buffer probe without a port");
-    const bool streaming =
-        port->pipelined() || prefetcher_.pb_latency() == 1;
+    streaming = port->pipelined() || prefetcher_.pb_latency() == 1;
     if (!pending_all_streaming ||
         (!streaming && (!pending_.empty() || line_buffer_.active))) {
       stall_cycles_structural.add();
@@ -109,23 +108,20 @@ void FetchEngine::initiate(Cycle now) {
     const Cycle port_done = port->issue(now);
     const Cycle data_done =
         pb.data_ready + static_cast<Cycle>(prefetcher_.pb_latency());
-    p.ready = std::max(port_done, data_done);
-    p.source = FetchSource::PreBuffer;
-    p.streaming = streaming;
+    ready = std::max(port_done, data_done);
+    source = FetchSource::PreBuffer;
     prefetcher_.on_fetch_from_pb(line, now);
-    issued = true;
   } else if (caches_.probe_l0(line)) {
     if (!pending_all_streaming) {
       stall_cycles_structural.add();
       return;  // a blocking access is draining; nothing overlaps it
     }
     (void)caches_.access_l0(line);
-    p.ready = now + static_cast<Cycle>(caches_.l0_latency());
-    p.source = FetchSource::L0;
-    p.streaming = true;
-    issued = true;
+    ready = now + static_cast<Cycle>(caches_.l0_latency());
+    source = FetchSource::L0;
+    streaming = true;
   } else if (caches_.probe_l1(line)) {
-    const bool streaming = caches_.l1_port().pipelined();
+    streaming = caches_.l1_port().pipelined();
     if (!pending_all_streaming ||
         (!streaming && (!pending_.empty() || line_buffer_.active))) {
       stall_cycles_structural.add();
@@ -136,12 +132,10 @@ void FetchEngine::initiate(Cycle now) {
       return;  // L1 port busy: wait, do not escalate to L2
     }
     (void)caches_.access_l1(line);
-    p.ready = caches_.l1_port().issue(now);
-    p.source = FetchSource::L1;
-    p.streaming = streaming;
+    ready = caches_.l1_port().issue(now);
+    source = FetchSource::L1;
     // A filter-cache L0 learns every line the fetch stage touches.
     caches_.fill_l0_only(line);
-    issued = true;
   } else {
     if (!pending_all_streaming || !pending_.empty() ||
         line_buffer_.active) {
@@ -151,31 +145,27 @@ void FetchEngine::initiate(Cycle now) {
     // Demand miss: request from L2/memory. The fill installs into the
     // emergency path (L1 + L0) regardless of later squashes — the SRAM
     // write happens either way — but only wakes this fetch if it is
-    // still live (generation check).
-    const std::uint64_t id = p.id;
-    const std::uint64_t gen = flush_gen_;
+    // still live (generation check). `ready` stays kNoCycle until then.
     mem_.submit(mem::ReqType::IFetchDemand, line, now,
-                [this, id, gen, line](FetchSource src, Cycle ready) {
+                [this, id = next_id_, gen = flush_gen_, line](
+                    FetchSource src, Cycle at) {
                   caches_.fill_demand(line);
                   if (gen != flush_gen_) return;
                   for (std::size_t i = 0; i < pending_.size(); ++i) {
                     Pending& q = pending_.at(i);
                     if (q.id == id) {
-                      q.ready = ready;
+                      q.ready = at;
                       q.source = src;
                       return;
                     }
                   }
                 });
-    p.ready = kNoCycle;  // set by the callback
-    issued = true;
   }
 
-  if (issued) {
-    queue_.consume_line();
-    pending_.push(p);
-    prefetcher_.on_line_request(line, now);
-  }
+  // The view points into the queue: copy it before consuming the line.
+  pending_.emplace(*view, next_id_++, ready, source, streaming);
+  queue_.consume_line();
+  prefetcher_.on_line_request(line, now);
 }
 
 void FetchEngine::tick(Cycle now, IFetchSink& sink) {
@@ -215,8 +205,8 @@ IdlePlan FetchEngine::idle_plan(Cycle now, const IFetchSink& sink) {
     plan.per_cycle = &stall_cycles_structural;
     return plan;
   }
-  const auto view = queue_.peek_line();
-  if (!view.has_value()) {
+  const LineView* view = queue_.peek_line();
+  if (view == nullptr) {
     plan.per_cycle = &stall_cycles_no_request;
     return plan;
   }

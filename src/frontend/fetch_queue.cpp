@@ -86,9 +86,9 @@ void CacheLineTargetQueue::push_block(const FetchBlock& block) {
   const std::uint32_t n = lines_in_block(block, line_bytes_);
   PRESTAGE_ASSERT(n <= kMaxLinesPerBlock, "block spans too many lines");
   for (std::uint32_t i = 0; i < n; ++i) {
-    auto view = line_of_block(block, line_bytes_, i);
+    const auto view = line_of_block(block, line_bytes_, i);
     PRESTAGE_ASSERT(view.has_value());
-    lines_.push(LineEntry{*view, i + 1 == n});
+    lines_.emplace(*view, i + 1 == n);
   }
   ++blocks_held_;
 }

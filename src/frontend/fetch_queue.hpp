@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <optional>
 
+#include "common/prestage_assert.hpp"
 #include "common/ring_buffer.hpp"
 #include "frontend/fetch_types.hpp"
 
@@ -27,8 +28,9 @@ class IFetchQueue {
   virtual void push_block(const FetchBlock& block) = 0;
 
   // --- fetch side ---
-  /// Next line to fetch, or nullopt when empty.
-  [[nodiscard]] virtual std::optional<LineView> peek_line() const = 0;
+  /// Next line to fetch, or nullptr when empty. Points into the queue:
+  /// valid until the next push_block(), consume_line() or flush().
+  [[nodiscard]] virtual const LineView* peek_line() const = 0;
   /// Consumes the line returned by peek_line().
   virtual void consume_line() = 0;
 
@@ -64,21 +66,25 @@ class FetchTargetQueue final : public IFetchQueue {
     return !entries_.full();
   }
   void push_block(const FetchBlock& block) override {
-    entries_.push(Entry{block, 0, 0});
+    entries_.emplace(block);
     head_view_valid_ = false;
   }
 
-  [[nodiscard]] std::optional<LineView> peek_line() const override {
-    if (entries_.empty()) return std::nullopt;
+  [[nodiscard]] const LineView* peek_line() const override {
+    if (entries_.empty()) return nullptr;
     // The head view is peeked by the fetch engine's tick *and* its idle
     // plan every cycle; recomputing the split only when the head entry
-    // or its cursor moves keeps the common re-peek at a cached copy.
+    // or its cursor moves keeps the common re-peek at the cached view.
+    // consume_line() pops the head entry once its cursor passes the
+    // last line, so the head always has a line to show.
     if (!head_view_valid_) {
       const Entry& e = entries_.at(0);
-      head_view_ = line_of_block(e.block, line_bytes_, e.fetch_line);
+      const auto view = line_of_block(e.block, line_bytes_, e.fetch_line);
+      PRESTAGE_ASSERT(view.has_value(), "FTQ head past its last line");
+      head_view_ = *view;
       head_view_valid_ = true;
     }
-    return head_view_;
+    return &head_view_;
   }
   void consume_line() override;
 
@@ -102,7 +108,7 @@ class FetchTargetQueue final : public IFetchQueue {
  private:
   RingBuffer<Entry> entries_;
   std::uint32_t line_bytes_;
-  mutable std::optional<LineView> head_view_;  ///< cached peek_line()
+  mutable LineView head_view_;  ///< cached peek_line()
   mutable bool head_view_valid_ = false;
 };
 
@@ -119,9 +125,8 @@ class CacheLineTargetQueue final : public IFetchQueue {
   }
   void push_block(const FetchBlock& block) override;
 
-  [[nodiscard]] std::optional<LineView> peek_line() const override {
-    if (lines_.empty()) return std::nullopt;
-    return lines_.at(0).view;
+  [[nodiscard]] const LineView* peek_line() const override {
+    return lines_.empty() ? nullptr : &lines_.at(0).view;
   }
   void consume_line() override;
 

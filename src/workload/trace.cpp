@@ -141,21 +141,20 @@ std::uint64_t TraceGenerator::draw_phase_budget() {
   return static_cast<std::uint64_t>(std::max(len, min_len));
 }
 
-DynInst TraceGenerator::step() {
+void TraceGenerator::step(DynInst& d) {
   const BasicBlock& b = prog_.blocks[cur_block_];
   PRESTAGE_ASSERT(cur_idx_ < b.num_instrs());
   const StaticInst& si = prog_.inst(b, cur_idx_);
 
-  DynInst d;
   d.pc = b.start + static_cast<Addr>(cur_idx_) * kInstrBytes;
   d.op = si.op;
   d.dst = si.dst;
   d.src1 = si.src1;
   d.src2 = si.src2;
   d.seq = seq_++;
-  if (si.op == OpClass::Load || si.op == OpClass::Store) {
-    d.data_addr = data_address(si.site);
-  }
+  d.data_addr = si.op == OpClass::Load || si.op == OpClass::Store
+                    ? data_address(si.site)
+                    : kNoAddr;
 
   const bool is_last = cur_idx_ + 1 == b.num_instrs();
   if (!is_last || b.term == TermKind::FallThrough) {
@@ -166,7 +165,7 @@ DynInst TraceGenerator::step() {
     } else {
       ++cur_idx_;
     }
-    return d;
+    return;
   }
 
   switch (b.term) {
@@ -208,7 +207,6 @@ DynInst TraceGenerator::step() {
     case TermKind::FallThrough:
       PRESTAGE_ASSERT(false, "unreachable");
   }
-  return d;
 }
 
 TraceGenerator::StreamChunk TraceGenerator::next_stream() {
@@ -226,11 +224,11 @@ TraceGenerator::StreamChunk TraceGenerator::next_stream() {
         prog_.num_regions > 1 && stream_len_ == 0 && seq_ > 0) {
       maybe_switch_region();
     }
-    DynInst d = step();
+    DynInst& d = chunk.insts.emplace_back();
+    step(d);
     ++stream_len_;
     const bool split = stream_len_ >= bpred::kMaxStreamInstrs;
     d.ends_stream = d.taken || split;
-    chunk.insts.push_back(d);
     if (d.ends_stream) {
       chunk.stream.length = stream_len_;
       chunk.stream.next_start = d.next_pc;
@@ -243,18 +241,19 @@ TraceGenerator::StreamChunk TraceGenerator::next_stream() {
 std::size_t TraceGenerator::fill(DynInst* out, std::size_t n) {
   // The next_stream() loop flattened: stream_len_ persists across calls,
   // so the region-switch hook and the ends_stream split fire exactly
-  // where the chunked walk would put them.
+  // where the chunked walk would put them. Each record is written once,
+  // in place.
   for (std::size_t i = 0; i < n; ++i) {
     if (stream_len_ == 0 && cur_idx_ == 0 &&
         cur_block_ == prog_.dispatcher_head && prog_.num_regions > 1 &&
         seq_ > 0) {
       maybe_switch_region();
     }
-    DynInst d = step();
+    DynInst& d = out[i];
+    step(d);
     ++stream_len_;
     d.ends_stream = d.taken || stream_len_ >= bpred::kMaxStreamInstrs;
     if (d.ends_stream) stream_len_ = 0;
-    out[i] = d;
   }
   return n;
 }

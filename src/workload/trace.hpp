@@ -129,7 +129,9 @@ class TraceGenerator final : public TraceSource {
   }
 
  private:
-  [[nodiscard]] DynInst step();
+  /// Writes the next instruction into @p d, every field but ends_stream
+  /// (the caller's stream split decides it).
+  void step(DynInst& d);
   [[nodiscard]] bool eval_branch(BlockId id, const BasicBlock& b);
   [[nodiscard]] Addr data_address(std::uint32_t site_id);
   void enter_block(BlockId id);

@@ -2,6 +2,7 @@
 // callable, the open-addressing address map, stats, tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <memory>
 #include <set>
@@ -212,6 +213,83 @@ TEST(GrowableRingBuffer, GrowsAcrossWrapPreservingFifo) {
   q.clear();
   EXPECT_TRUE(q.empty());
   EXPECT_THROW(q.pop_front(), SimError);
+}
+
+TEST(RingBuffer, EmplaceBuildsInPlaceAndPopBackNDropsTheNewest) {
+  struct Rec {
+    int a = 0;
+    int b = 7;
+  };
+  RingBuffer<Rec> q(3);
+  Rec& first = q.emplace(1, 10);
+  EXPECT_EQ(&first, &q.front());
+  Rec& second = q.emplace(2, 20);
+  EXPECT_EQ(&second, &q.back());
+  q.pop_back_n(1);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.back().a, 1);
+  // The slot pop_back_n freed comes back from the next emplace, rebuilt:
+  // members not passed take their defaults, not the old occupant's.
+  Rec& again = q.emplace(3);
+  EXPECT_EQ(&again, &second);
+  EXPECT_EQ(again.a, 3);
+  EXPECT_EQ(again.b, 7);
+  EXPECT_EQ(q.emplace().a, 0);
+  EXPECT_TRUE(q.full());
+  EXPECT_THROW((void)q.emplace(), SimError);
+  EXPECT_EQ(q.pop().a, 1);
+  EXPECT_EQ(q.pop().a, 3);
+  q.pop_back_n(1);
+  EXPECT_TRUE(q.empty());
+  EXPECT_THROW(q.pop_back_n(1), SimError);
+  // In-place appends wrap the (4-slot) backing store like push().
+  for (int i = 0; i < 10; ++i) {
+    q.emplace(i);
+    EXPECT_EQ(q.pop().a, i);
+  }
+}
+
+TEST(GrowableRingBuffer, AppendNMatchesOneByOnePushBack) {
+  // Two rings take the same random traffic, one through push_back and
+  // one through append_n batches; the batches cross the wrap seam and
+  // trigger growth, and both rings must hold the same contents.
+  GrowableRingBuffer<int> batched(4);
+  GrowableRingBuffer<int> single(4);
+  Rng rng(21);
+  int next = 0;
+  std::size_t split_batches = 0;
+  std::size_t high_water = 0;
+  for (int step = 0; step < 3000; ++step) {
+    if (batched.size() > 0 && rng.chance(0.5)) {
+      const auto k = 1 + rng.below(batched.size());
+      for (std::uint64_t i = 0; i < k; ++i) {
+        batched.pop_front();
+        single.pop_front();
+      }
+    } else {
+      const auto n = static_cast<std::size_t>(1 + rng.below(24));
+      std::size_t calls = 0;
+      std::size_t written = 0;
+      const int start = next;
+      batched.append_n(n, [&](int* out, std::size_t count) {
+        ++calls;
+        for (std::size_t i = 0; i < count; ++i) {
+          out[i] = start + static_cast<int>(written + i);
+        }
+        written += count;
+      });
+      EXPECT_EQ(written, n);
+      if (calls == 2) ++split_batches;
+      for (std::size_t i = 0; i < n; ++i) single.push_back(next++);
+      high_water = std::max(high_water, batched.size());
+    }
+    ASSERT_EQ(batched.size(), single.size());
+    for (std::size_t i = 0; i < single.size(); ++i) {
+      ASSERT_EQ(batched[i], single[i]) << "step " << step << " index " << i;
+    }
+  }
+  EXPECT_GT(split_batches, 0u) << "no batch crossed the wrap seam";
+  EXPECT_GT(high_water, 16u) << "the ring never had to grow";
 }
 
 TEST(InlineFunction, InvokesAndMoves) {

@@ -2,10 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
+#include "cpu/backend.hpp"
 #include "cpu/cpu.hpp"
+#include "cpu/oracle.hpp"
+#include "mem/memsys.hpp"
 #include "sim/presets.hpp"
+#include "workload/program.hpp"
 #include "workload/synthetic_spec.hpp"
+#include "workload/trace.hpp"
 
 namespace prestage::cpu {
 namespace {
@@ -183,6 +189,211 @@ TEST(Machine, TickAdvancesCycleByCycle) {
   cpu.tick();
   cpu.tick();
   EXPECT_EQ(cpu.cycle(), 2u);
+}
+
+// --- back-end in isolation ----------------------------------------------
+
+/// One 8-instruction loop: X (ALU, r1), L (load r2, site 0), M (load r3,
+/// site 1), D (ALU r4 <- r3), three ALU ops and the back jump. The two
+/// load sites stride 64 B and 4 KB through the heap, so L and M miss a
+/// cold D-cache on different lines.
+workload::Program loop_program() {
+  using workload::StaticInst;
+  workload::Program p;
+  p.name = "loop";
+  p.insts = {
+      StaticInst{OpClass::IntAlu, 1, kNoReg, kNoReg, workload::kNoSite},
+      StaticInst{OpClass::Load, 2, kNoReg, kNoReg, 0},
+      StaticInst{OpClass::Load, 3, kNoReg, kNoReg, 1},
+      StaticInst{OpClass::IntAlu, 4, 3, kNoReg, workload::kNoSite},
+      StaticInst{OpClass::IntAlu, 5, kNoReg, kNoReg, workload::kNoSite},
+      StaticInst{OpClass::IntAlu, 6, kNoReg, kNoReg, workload::kNoSite},
+      StaticInst{OpClass::IntAlu, 7, kNoReg, kNoReg, workload::kNoSite},
+      StaticInst{OpClass::Jump, kNoReg, kNoReg, kNoReg, workload::kNoSite},
+  };
+  workload::BasicBlock b;
+  b.start = p.base;
+  b.first = 0;
+  b.count = static_cast<std::uint32_t>(p.insts.size());
+  b.term = workload::TermKind::Jump;
+  b.taken_target = 0;
+  p.blocks = {b};
+  p.data_sites = {
+      workload::DataSite{workload::DataSiteClass::Stream, 64, 0},
+      workload::DataSite{workload::DataSiteClass::Stream, 4096, 1}};
+  p.stream_sites = 2;
+  p.region_roots = {0};
+  p.validate();
+  return p;
+}
+
+/// A Backend with its oracle and memory system, ticked in Cpu::tick's
+/// order; the test plays the fetch stage.
+struct BackendRig {
+  workload::Program prog = loop_program();
+  Oracle oracle{prog, 1};
+  mem::MemSystem mem{mem::MemSystemConfig{}};
+  Backend be{MachineConfig{}, oracle, prog, mem};
+  Cycle now = 0;
+
+  void fetch(std::uint64_t seq, bool culprit = false) {
+    frontend::FetchedInst f;
+    f.pc = oracle.get(seq).pc;
+    f.oracle_seq = seq;
+    f.culprit = culprit;
+    be.accept(f);
+  }
+  void cycle() {
+    be.begin_cycle(now);
+    mem.tick(now);
+    if (be.recovery_due(now)) be.squash_younger_than_culprit();
+    be.tick_commit(now);
+    be.tick_issue(now);
+    be.tick_dispatch(now);
+    ++now;
+  }
+  /// Ticks until @p addr's fill has fired; returns the fill cycle.
+  Cycle run_to_fill(Addr addr) {
+    while (mem.in_flight(addr)) {
+      EXPECT_LT(now, 5000u) << "fill never arrived";
+      if (now >= 5000) return kNoCycle;
+      cycle();
+    }
+    return now - 1;
+  }
+  /// Ticks until @p n instructions have committed; returns that cycle.
+  Cycle run_to_commits(std::uint64_t n) {
+    while (be.committed() < n) {
+      EXPECT_LT(now, 5000u) << "commit never happened";
+      if (now >= 5000) return kNoCycle;
+      cycle();
+    }
+    return now - 1;
+  }
+};
+
+TEST(Backend, LiveMissingLoadWakesAtFillPlusOne) {
+  BackendRig rig;
+  rig.fetch(0);
+  rig.fetch(1);  // L: load r2
+  const Addr l_addr = rig.oracle.get(1).data_addr;
+  ASSERT_EQ(rig.oracle.get(1).op, OpClass::Load);
+  while (!rig.mem.in_flight(l_addr)) rig.cycle();
+  const Cycle fill = rig.run_to_fill(l_addr);
+  EXPECT_EQ(rig.be.reg_ready_at(2), fill + 1);
+  EXPECT_EQ(rig.run_to_commits(2), fill + 1);
+}
+
+TEST(Backend, SquashedLoadsFillLeavesTheSlotsNextOccupantAlone) {
+  BackendRig rig;
+  rig.fetch(0, /*culprit=*/true);  // X resolves a misprediction
+  rig.fetch(1);                    // L: squashed while its miss is out
+  const Addr l_addr = rig.oracle.get(1).data_addr;
+  const Addr m_addr = rig.oracle.get(2).data_addr;
+  // X completes one cycle after it issues; its recovery squashes L,
+  // whose miss is already in flight.
+  EXPECT_EQ(rig.run_to_commits(1), 10u);
+  ASSERT_TRUE(rig.be.drained());
+  ASSERT_TRUE(rig.mem.in_flight(l_addr));
+
+  // M dispatches into the RUU slot L left (the ring's next tail), and
+  // misses too; D depends on it.
+  rig.fetch(2);  // M: load r3
+  rig.fetch(3);  // D: r4 <- r3
+  while (!rig.mem.in_flight(m_addr)) rig.cycle();
+  const Cycle r3_before = rig.be.reg_ready_at(3);
+  const Cycle r2_before = rig.be.reg_ready_at(2);
+  const Cycle l_fill = rig.run_to_fill(l_addr);
+  ASSERT_TRUE(rig.mem.in_flight(m_addr));
+  rig.cycle();  // a wrongly woken M would commit at l_fill + 1
+  EXPECT_EQ(rig.be.committed(), 1u);
+  EXPECT_EQ(rig.be.reg_ready_at(3), r3_before);
+  EXPECT_EQ(rig.be.reg_ready_at(2), r2_before);
+
+  // M's own fill still wakes it and the scoreboard at fill + 1.
+  const Cycle m_fill = rig.run_to_fill(m_addr);
+  EXPECT_GT(m_fill, l_fill);
+  EXPECT_EQ(rig.be.reg_ready_at(3), m_fill + 1);
+  EXPECT_EQ(rig.run_to_commits(2), m_fill + 1);
+  rig.run_to_commits(3);
+}
+
+TEST(Backend, SquashedLoadsFillLeavesItsEmptySlotAlone) {
+  // Nothing reuses L's slot before its fill: the popped slot still holds
+  // L, and the fill must not wake it or its register.
+  BackendRig rig;
+  rig.fetch(0, /*culprit=*/true);
+  rig.fetch(1);
+  const Addr l_addr = rig.oracle.get(1).data_addr;
+  rig.run_to_commits(1);
+  ASSERT_TRUE(rig.mem.in_flight(l_addr));
+  const Cycle r2_before = rig.be.reg_ready_at(2);
+  rig.run_to_fill(l_addr);
+  rig.cycle();
+  EXPECT_EQ(rig.be.reg_ready_at(2), r2_before);
+  EXPECT_TRUE(rig.be.drained());
+  EXPECT_EQ(rig.be.committed(), 1u);
+  // The next instruction into that slot runs normally.
+  rig.fetch(2);
+  rig.run_to_commits(2);
+}
+
+// --- oracle window --------------------------------------------------------
+
+/// Forwards to a TraceGenerator and counts the fill() calls that were
+/// handed less than a whole batch: the Oracle's window wrapped.
+class SplitCountingSource final : public workload::TraceSource {
+ public:
+  SplitCountingSource(const workload::Program& prog, std::uint64_t seed,
+                      std::size_t* splits)
+      : inner_(prog, seed), splits_(splits) {}
+  workload::StreamChunk next_stream() override { return inner_.next_stream(); }
+  std::size_t fill(workload::DynInst* out, std::size_t n) override {
+    if (n < 256) ++*splits_;
+    return inner_.fill(out, n);
+  }
+  std::uint64_t instructions() const override { return inner_.instructions(); }
+  std::vector<Addr> call_stack_pcs(std::size_t max_depth) const override {
+    return inner_.call_stack_pcs(max_depth);
+  }
+
+ private:
+  workload::TraceGenerator inner_;
+  std::size_t* splits_;
+};
+
+TEST(OracleWindow, WrappedRefillsHandOutTheGeneratorsRecords) {
+  const auto spec =
+      std::make_shared<const workload::SyntheticWorkloadSpec>("gcc", 3);
+  const workload::Program& prog = spec->program();
+  constexpr std::size_t kInstrs = 60000;
+  std::vector<workload::DynInst> ref(kInstrs + 4096);
+  workload::TraceGenerator gen(prog, 11);
+  (void)gen.fill(ref.data(), ref.size());
+
+  std::size_t splits = 0;
+  Oracle oracle(std::make_unique<SplitCountingSource>(prog, 11, &splits));
+  std::uint64_t lag = 0;
+  while (oracle.seq_at_cursor() < kInstrs) {
+    const std::uint64_t first = oracle.seq_at_cursor();
+    const bpred::Stream rem = oracle.remainder();
+    for (std::uint64_t s = first; s < first + rem.length; ++s) {
+      const workload::DynInst& got = oracle.get(s);
+      const workload::DynInst& want = ref[s];
+      ASSERT_EQ(got.pc, want.pc) << "seq " << s;
+      ASSERT_EQ(got.seq, want.seq);
+      ASSERT_EQ(got.next_pc, want.next_pc) << "seq " << s;
+      ASSERT_EQ(got.data_addr, want.data_addr) << "seq " << s;
+      ASSERT_EQ(got.ends_stream, want.ends_stream) << "seq " << s;
+    }
+    oracle.consume(rem.length);
+    // Release a varying distance behind the cursor, so refills land at
+    // every offset of the ring.
+    lag = (lag + 37) % 300;
+    const std::uint64_t cursor = oracle.seq_at_cursor();
+    oracle.release_below(cursor > lag ? cursor - lag : 0);
+  }
+  EXPECT_GT(splits, 0u) << "the window never wrapped mid-batch";
 }
 
 }  // namespace

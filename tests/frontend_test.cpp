@@ -90,12 +90,12 @@ TEST(Ftq, HoldsBlocksAndIteratesLines) {
   EXPECT_TRUE(ftq.can_accept_block());
   ftq.push_block(block(0x1020, 20));  // 2 lines
   EXPECT_EQ(ftq.blocks_held(), 1u);
-  auto v = ftq.peek_line();
-  ASSERT_TRUE(v.has_value());
+  const LineView* v = ftq.peek_line();
+  ASSERT_NE(v, nullptr);
   EXPECT_EQ(v->first_pc, 0x1020u);
   ftq.consume_line();
   v = ftq.peek_line();
-  ASSERT_TRUE(v.has_value());
+  ASSERT_NE(v, nullptr);
   EXPECT_EQ(v->first_pc, 0x1040u);
   ftq.consume_line();
   EXPECT_TRUE(ftq.empty());
@@ -124,7 +124,7 @@ TEST(Ftq, FlushEmptiesEverything) {
   ftq.push_block(block(0x1000, 8));
   ftq.flush();
   EXPECT_TRUE(ftq.empty());
-  EXPECT_FALSE(ftq.peek_line().has_value());
+  EXPECT_EQ(ftq.peek_line(), nullptr);
 }
 
 TEST(Cltq, SplitsBlocksIntoLineEntries) {

@@ -13,6 +13,10 @@
 //    global operator new/delete in this binary to count allocations
 //    around the steady-state phase.
 //
+// 3. The whole cycle loop: Cpu::run, for every registered scheme, makes
+//    no more allocations over a long run than over a short one, beyond
+//    the few that grow vectors to their high-water size.
+//
 // The replacement operators are malloc/free-backed; GCC's
 // -Wmismatched-new-delete pairs an inlined `new T` with the free()
 // inside the replaced delete and misfires at -O1 (the sanitizer
@@ -28,7 +32,9 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "cpu/cpu.hpp"
 #include "mem/memsys.hpp"
+#include "prefetch/registry.hpp"
 
 // --- allocation counting hook ----------------------------------------------
 // Overridden for the whole test binary; the counter is only inspected
@@ -401,6 +407,45 @@ TEST(MemSystemAlloc, SteadyStateSubmitAndTickAreAllocationFree) {
       << "steady-state MemSystem traffic allocated " << (after - before)
       << " times";
   EXPECT_GT(sink, 0u);  // completions really fired
+}
+
+/// Heap allocations made inside Cpu::run (construction excluded) for
+/// @p scheme on @p bench at @p instrs committed instructions.
+std::uint64_t run_allocations(const std::string& scheme,
+                              const std::string& bench,
+                              std::uint64_t instrs) {
+  cpu::MachineConfig cfg;
+  cfg.benchmark = bench;
+  cfg.prefetcher = scheme;
+  cfg.l1i_size = 4096;
+  cfg.max_instructions = instrs;
+  cpu::Cpu machine(cfg);
+  const std::uint64_t before = g_allocations.load();
+  const cpu::RunResult r = machine.run();
+  const std::uint64_t after = g_allocations.load();
+  EXPECT_GE(r.instructions, instrs);
+  return after - before;
+}
+
+TEST(CpuAlloc, CycleLoopDoesNotAllocateInSteadyState) {
+  // Doubling the run doubles every per-instruction allocation, so the
+  // difference between the two runs is what the second 200k
+  // instructions allocated. Only growth to a high-water size may show
+  // up there: a geometric vector growth, or a window that meets a rare
+  // deeper burst, costs a handful of allocations, where one allocation
+  // per N dispatches costs thousands.
+  constexpr std::uint64_t kBound = 16;
+  for (const std::string& scheme :
+       prefetch::PrefetcherRegistry::instance().names()) {
+    for (const std::string bench : {"gcc", "mcf"}) {
+      const std::uint64_t shorter = run_allocations(scheme, bench, 200000);
+      const std::uint64_t longer = run_allocations(scheme, bench, 400000);
+      const std::uint64_t extra = longer > shorter ? longer - shorter : 0;
+      EXPECT_LE(extra, kBound)
+          << scheme << " on " << bench << ": Cpu::run allocated " << shorter
+          << " times at 200k instructions and " << longer << " at 400k";
+    }
+  }
 }
 
 }  // namespace
